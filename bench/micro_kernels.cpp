@@ -98,6 +98,28 @@ void BM_GappedExtension(benchmark::State& state) {
 }
 BENCHMARK(BM_GappedExtension);
 
+// The blast_reads shape: a 400 bp read seeded 200 kbp into a 250 kbp
+// contig. The leftward pass must not cost O(seed offset) in copying the
+// subject prefix; only the X-drop band's window is touched.
+void BM_GappedExtensionDeepSeed(benchmark::State& state) {
+  Rng rng(6);
+  constexpr std::size_t kSeed = 200'000;
+  constexpr std::size_t kRead = 400;
+  const auto contig = blast::random_sequence(rng, "c", 250'000, blast::SeqType::Dna);
+  blast::Sequence source;
+  source.data.assign(contig.data.begin() + kSeed - kRead / 2,
+                     contig.data.begin() + kSeed + kRead / 2);
+  const auto read = blast::mutate(rng, source, "r", 0.05, blast::SeqType::Dna);
+  auto subject = contig.data;
+  subject[kSeed] = read.data[kRead / 2];  // genuine residue match at the seed
+  const blast::Scorer scorer = blast::Scorer::dna();
+  for (auto _ : state) {
+    const auto aln = blast::extend_gapped(read.data, subject, kRead / 2, kSeed, scorer, 30);
+    benchmark::DoNotOptimize(aln.score);
+  }
+}
+BENCHMARK(BM_GappedExtensionDeepSeed);
+
 void BM_DustFilter(benchmark::State& state) {
   const auto seq = random_dna(static_cast<std::size_t>(state.range(0)), 7);
   for (auto _ : state) {

@@ -101,6 +101,23 @@ void push_op(std::vector<EditOp>& ops, EditOp::Type t) {
   }
 }
 
+/// Row-0 score of column j of extend_dir: a gap of length j in `a`.
+int row0_score(const Scorer& scorer, std::size_t j) {
+  if (j == 0) return 0;
+  return -(scorer.gap_open() + static_cast<int>(j) * scorer.gap_extend());
+}
+
+/// Number of row-0 columns extend_dir keeps against a `b` of length
+/// `b_len`: the row stops at the first column whose gap cost exceeds
+/// `xdrop` (the best score is still 0 there). Every later row can reach at
+/// most one column further than the row before it, so row i never passes
+/// column row0_columns(...) - 1 + i.
+std::size_t row0_columns(const Scorer& scorer, int xdrop, std::size_t b_len) {
+  std::size_t n = 0;
+  while (n <= b_len && row0_score(scorer, n) >= -xdrop) ++n;
+  return n;
+}
+
 /// One-directional gapped X-drop DP of `a` against `b` anchored at their
 /// starts; returns the best-scoring extension with traceback.
 DirResult extend_dir(std::span<const std::uint8_t> a, std::span<const std::uint8_t> b,
@@ -130,11 +147,9 @@ DirResult extend_dir(std::span<const std::uint8_t> a, std::span<const std::uint8
   {
     TbRow row0;
     row0.lo = 0;
-    int h = 0;
-    for (std::size_t j = 0;; ++j) {
-      if (j > 0) h = -(open_first + static_cast<int>(j - 1) * ext);
-      if (j > b.size() || h < best - xdrop) break;
-      h_prev.push_back(h);
+    const std::size_t n0 = row0_columns(scorer, xdrop, b.size());
+    for (std::size_t j = 0; j < n0; ++j) {
+      h_prev.push_back(row0_score(scorer, j));
       f_prev.push_back(kNegInf);
       std::uint8_t tb = (j == 0) ? kHStart : kHFromE;
       if (j > 1) tb |= kEExtend;
@@ -303,10 +318,16 @@ GappedAlignment extend_gapped(std::span<const std::uint8_t> query,
   const DirResult right = extend_dir(query.subspan(q_seed), subject.subspan(s_seed),
                                      scorer, xdrop);
 
-  // Leftward pass on reversed prefixes (excluding the seed column).
+  // Leftward pass on reversed prefixes (excluding the seed column). The DP
+  // has at most q_seed rows after row 0, each reaching one column past the
+  // last, so the q_seed + row0_columns subject bytes left of the seed cover
+  // every column it can reach: only that window is copied, not the whole
+  // subject prefix.
+  const std::size_t s_window =
+      std::min(s_seed, q_seed + row0_columns(scorer, xdrop, s_seed));
   std::vector<std::uint8_t> qrev(query.begin(),
                                  query.begin() + static_cast<std::ptrdiff_t>(q_seed));
-  std::vector<std::uint8_t> srev(subject.begin(),
+  std::vector<std::uint8_t> srev(subject.begin() + static_cast<std::ptrdiff_t>(s_seed - s_window),
                                  subject.begin() + static_cast<std::ptrdiff_t>(s_seed));
   std::reverse(qrev.begin(), qrev.end());
   std::reverse(srev.begin(), srev.end());

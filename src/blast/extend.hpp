@@ -65,7 +65,10 @@ struct GappedAlignment {
 
 /// Gapped X-drop extension through the seed pair (q_seed, s_seed), which
 /// must be a genuine residue match position. The seed column is counted
-/// once (in the rightward pass).
+/// once (in the rightward pass). The leftward pass touches at most
+/// q_seed + j0 + 1 subject bytes left of the seed, where j0 is the longest
+/// gap whose cost stays within `xdrop`, so its cost does not grow with
+/// s_seed.
 GappedAlignment extend_gapped(std::span<const std::uint8_t> query,
                               std::span<const std::uint8_t> subject, std::size_t q_seed,
                               std::size_t s_seed, const Scorer& scorer, int xdrop);

@@ -13,53 +13,49 @@ NucLookup::NucLookup(std::span<const std::uint8_t> concat, int word_size)
   MRBIO_REQUIRE(word_size >= kMinWord && word_size <= kMaxWord,
                 "nucleotide word size must be in [", kMinWord, ", ", kMaxWord, "], got ",
                 word_size);
-  const std::size_t nbuckets = std::size_t{1} << (2 * word_size);
-  const std::uint32_t mask = static_cast<std::uint32_t>(nbuckets - 1);
+  const std::size_t nwords = std::size_t{1} << (2 * word_size);
+  const std::uint32_t mask = static_cast<std::uint32_t>(nwords - 1);
   const simd::Kernels& kern = simd::kernels();
 
-  // Both passes scan the concatenation in 48-byte blocks through the
-  // word-scan kernel: codes[i] is the rolling packed word ending at block
-  // position i, and a set valid bit means all word_size bases ending
-  // there are unambiguous (the kernel carries word/history across
-  // blocks). A word is indexable only if it's valid — garbage codes at
-  // invalid positions are never read.
+  // Scan the concatenation in 48-byte blocks through the word-scan kernel:
+  // codes[i] is the rolling packed word ending at block position i, and a
+  // set valid bit means all word_size bases ending there are unambiguous
+  // (the kernel carries word/history across blocks). A word is indexable
+  // only if it's valid — garbage codes at invalid positions are never read.
+  // Each valid word becomes one (word << 32 | offset of its first base)
+  // key, so sorting the keys groups offsets by word, ascending within each.
   constexpr std::size_t kBlock = 48;
   std::uint32_t codes[kBlock];
   std::uint64_t valid = 0;
-
-  // Pass 1: count words.
-  std::vector<std::uint32_t> counts(nbuckets + 1, 0);
   std::uint32_t word = 0;
   std::uint64_t hist = 0;
+  std::vector<std::uint64_t> keys;
+  keys.reserve(concat.size());
   for (std::size_t base = 0; base < concat.size(); base += kBlock) {
     const std::size_t m = std::min(kBlock, concat.size() - base);
     kern.dna_words(concat.data() + base, m, word_size, mask, &word, &hist, codes, &valid);
     while (valid != 0) {
       const int i = std::countr_zero(valid);
       valid &= valid - 1;
-      ++counts[codes[i]];
+      const std::size_t pos =
+          base + static_cast<std::size_t>(i) + 1 - static_cast<std::size_t>(word_size);
+      keys.push_back((std::uint64_t{codes[i]} << 32) | pos);
     }
   }
+  std::sort(keys.begin(), keys.end());
 
-  starts_.assign(nbuckets + 1, 0);
-  for (std::size_t b = 0; b < nbuckets; ++b) starts_[b + 1] = starts_[b] + counts[b];
-  positions_.resize(starts_[nbuckets]);
-
-  // Pass 2: fill. Positions are the offsets of the word's first base;
-  // valid bits iterate lowest-first, so positions stay in ascending order.
-  std::vector<std::uint32_t> cursor(starts_.begin(), starts_.end() - 1);
-  word = 0;
-  hist = 0;
-  for (std::size_t base = 0; base < concat.size(); base += kBlock) {
-    const std::size_t m = std::min(kBlock, concat.size() - base);
-    kern.dna_words(concat.data() + base, m, word_size, mask, &word, &hist, codes, &valid);
-    while (valid != 0) {
-      const int i = std::countr_zero(valid);
-      valid &= valid - 1;
-      positions_[cursor[codes[i]]++] = static_cast<std::uint32_t>(
-          base + static_cast<std::size_t>(i) + 1 - static_cast<std::size_t>(word_size));
+  present_.assign(nwords / 64, 0);
+  positions_.resize(keys.size());
+  for (std::size_t k = 0; k < keys.size(); ++k) {
+    const auto code = static_cast<std::uint32_t>(keys[k] >> 32);
+    if (words_.empty() || words_.back() != code) {
+      words_.push_back(code);
+      starts_.push_back(static_cast<std::uint32_t>(k));
+      present_[code >> 6] |= std::uint64_t{1} << (code & 63);
     }
+    positions_[k] = static_cast<std::uint32_t>(keys[k]);
   }
+  starts_.push_back(static_cast<std::uint32_t>(keys.size()));
 }
 
 ProtLookup::ProtLookup(std::span<const std::uint8_t> concat, int threshold,

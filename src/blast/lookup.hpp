@@ -7,7 +7,10 @@
 // database past this lookup table").
 //
 // Nucleotide: exact words of length `word_size` (default 11), packed 2 bits
-// per base, direct-addressed table of query offsets.
+// per base. The table is compact, sized by the block rather than by the
+// 4^w word space: a 4^w-bit presence bitmap (512 KB at w=11) rejects absent
+// words with one load, and the block's sorted unique words index a CSR
+// array of query offsets. Building it costs O(block log block), not O(4^w).
 //
 // Protein: words of length 3 with BLOSUM62 neighbourhood expansion -- a
 // query word's bucket also receives every word scoring >= threshold T
@@ -16,6 +19,7 @@
 // the paper notes the DeCypher FPGA accelerator uses by default).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -24,7 +28,7 @@
 
 namespace mrbio::blast {
 
-/// Direct-addressed nucleotide word table over a concatenated query block.
+/// Compact nucleotide word table over a concatenated query block.
 class NucLookup {
  public:
   static constexpr int kMinWord = 4;
@@ -35,17 +39,22 @@ class NucLookup {
   int word_size() const { return word_size_; }
 
   /// Query offsets whose word equals `packed` (2-bit packed, most recent
-  /// base in the low bits as produced by the scanner's rolling update).
+  /// base in the low bits as produced by the scanner's rolling update), in
+  /// ascending order.
   std::span<const std::uint32_t> hits(std::uint32_t packed) const {
-    return {positions_.data() + starts_[packed],
-            starts_[packed + 1] - starts_[packed]};
+    if (((present_[packed >> 6] >> (packed & 63)) & 1) == 0) return {};
+    const auto k = static_cast<std::size_t>(
+        std::lower_bound(words_.begin(), words_.end(), packed) - words_.begin());
+    return {positions_.data() + starts_[k], starts_[k + 1] - starts_[k]};
   }
 
   std::size_t total_positions() const { return positions_.size(); }
 
  private:
   int word_size_;
-  std::vector<std::uint32_t> starts_;     ///< bucket boundaries, size 4^w + 1
+  std::vector<std::uint64_t> present_;    ///< bit per word of the 4^w space
+  std::vector<std::uint32_t> words_;      ///< distinct words in the block, sorted
+  std::vector<std::uint32_t> starts_;     ///< CSR bounds per word, size words_ + 1
   std::vector<std::uint32_t> positions_;  ///< query offsets grouped by word
 };
 

@@ -123,6 +123,9 @@ class ByteReader {
   }
 
   void take(void* out, std::size_t n) {
+    // An empty vector's data() may be null, and memcpy with a null pointer
+    // is undefined even for zero bytes.
+    if (n == 0) return;
     check_avail(n);
     std::memcpy(out, data_.data() + pos_, n);
     pos_ += n;

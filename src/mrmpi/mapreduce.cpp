@@ -529,14 +529,17 @@ void MapReduce::run_task_ckpt(const MapFn& fn, std::uint64_t task, KeyValue& out
 
 namespace {
 
+// __extension__ keeps -Wpedantic quiet about the compiler's 128-bit type.
+__extension__ using Uint128 = unsigned __int128;
+
 /// Scales a nominal byte count by real_after / real_before using 128-bit
 /// intermediate math, so paper-scale nominals shrink by exactly the
 /// measured framing/compression ratio without overflow.
 std::uint64_t scale_nominal(std::uint64_t nominal, std::uint64_t real_after,
                             std::uint64_t real_before) {
   if (real_before == 0 || nominal == 0) return nominal;
-  return static_cast<std::uint64_t>(
-      (static_cast<unsigned __int128>(nominal) * real_after) / real_before);
+  return static_cast<std::uint64_t>((static_cast<Uint128>(nominal) * real_after) /
+                                    real_before);
 }
 
 }  // namespace

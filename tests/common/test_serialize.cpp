@@ -45,6 +45,22 @@ TEST(Serialize, VectorRoundTrip) {
   EXPECT_TRUE(r.get_vector<std::uint64_t>().empty());
 }
 
+TEST(Serialize, EmptyVectorAndStringRoundTrip) {
+  // An empty vector has a null data(); reading one back must not hand that
+  // pointer to memcpy (a sanitizer build reports it).
+  ByteWriter w;
+  w.put_vector(std::vector<std::uint32_t>{});
+  w.put_string("");
+  w.put_bytes({});
+  w.put<std::uint8_t>(9);
+  ByteReader r(w.bytes());
+  EXPECT_TRUE(r.get_vector<std::uint32_t>().empty());
+  EXPECT_EQ(r.get_string(), "");
+  EXPECT_TRUE(r.get_bytes().empty());
+  EXPECT_EQ(r.get<std::uint8_t>(), 9);
+  EXPECT_TRUE(r.done());
+}
+
 TEST(Serialize, BytesRoundTrip) {
   ByteWriter w;
   std::vector<std::byte> blob{std::byte{1}, std::byte{2}};

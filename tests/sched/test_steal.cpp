@@ -199,7 +199,9 @@ TEST(Steal, ConsecutiveMapsAreEpochIsolated) {
     EXPECT_EQ(first.size(), 23u) << "ft=" << ft;
     EXPECT_EQ(second.size(), 31u) << "ft=" << ft;
     for (std::uint64_t t = 0; t < 31; ++t) {
-      if (t < 23) EXPECT_EQ(first.count(t), 1u) << t;
+      if (t < 23) {
+        EXPECT_EQ(first.count(t), 1u) << t;
+      }
       EXPECT_EQ(second.count(t), 1u) << t;
     }
   }
