@@ -139,15 +139,6 @@ struct FaultPlan {
            corrupts.empty();
   }
 
-  /// True when this plan needs a fault-tolerant scheduling protocol to
-  /// make progress: crash faults lose work that must be re-granted, and
-  /// message faults (drop/dup/delay) hit scheduler traffic, which only the
-  /// seq-numbered resend/replay protocols absorb. Slow ranks, job kills
-  /// and checkpoint corruption shape timing or durable state and run on
-  /// any scheduler. Tools use this to decide whether --faults must force
-  /// ft.enabled on the selected scheduler.
-  bool requires_ft() const { return !crashes.empty() || !messages.empty(); }
-
   /// Throws mrbio::InputError when a fault references a rank outside
   /// [0, nranks), a crash targets the master (rank 0) without a scheduler
   /// that supports master failover (`master_failover` true relaxes that —

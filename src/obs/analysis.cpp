@@ -243,7 +243,10 @@ CriticalPath walk_critical_path(const Recorder& rec, double makespan,
     }
     const Event* e = w.last_before(rank, t);
     if (e == nullptr) {
-      emit(rank, 0.0, t, "idle");
+      // Before the rank's first walked event. On native no Compute
+      // primitives are recorded, so this stretch is often the whole map
+      // phase: label it from the spans covering it, like a gap.
+      emit(rank, 0.0, t, w.label_for(rank, 0.0, t, "idle"));
       t = 0.0;
       break;
     }

@@ -41,9 +41,9 @@ struct WireReq {
   std::int64_t completed_task = -1;  ///< task finished since last grant
   std::uint32_t attempt = 0;         ///< attempt number of completed_task
   /// 1 = the worker is out of local work and asks the ledger for a task.
-  /// Under the steal policy the ledger only grants to askers (workers
-  /// with live deques report completions with wants = 0); the plain
-  /// master-worker protocol always asks.
+  /// Sharded steal ledgers only grant to askers (workers with live deques
+  /// report completions with wants = 0); the master-worker ledger ignores
+  /// it, as its workers always ask.
   std::uint8_t wants = 1;
   /// Sharded ledger: map epoch of the sender; stale epochs are dropped.
   /// The single-master protocol leaves it 0 (seqs alone disambiguate —
@@ -397,12 +397,9 @@ inline double effective_timeout(const FtConfig& ft, const TimeoutEstimator& est)
 /// Degenerate single-rank map: run every task locally in order.
 void run_all_local(MapContext& ctx);
 
-/// The exactly-once ledger on rank 0 (plain-FIFO or locality order via
-/// ctx.affinity). The ledger grants Pending tasks only to workers that
-/// asked (WireReq::wants); plain fault-tolerant workers always ask, while
-/// steal workers ask only once drained — their deque and stolen tasks
-/// stay Pending here until the first completion report commits them, and
-/// first-commit-wins deduplicates any grant/deque overlap.
+/// The exactly-once ledger of the fault-tolerant master-worker policy, on
+/// rank 0 (plain-FIFO or locality order via ctx.affinity). Every request
+/// reports at most one completion and asks for the next task.
 void run_ledger_master(MapContext& ctx);
 
 /// Fault-tolerant worker of the master-worker policy.

@@ -1,8 +1,7 @@
-// The fault-tolerant exactly-once protocol: a work ledger on rank 0 and
-// staging workers. Serves two strategies — master-worker (rank 0 is the
-// only task source) and steal (the ledger is a backstop behind the
-// workers' own deques; see steal.cpp). The wire protocol and its
-// invariants are documented in internal.hpp.
+// The fault-tolerant exactly-once protocol of the master-worker policy: a
+// work ledger on rank 0 (the only task source) and staging workers. Steal
+// with fault tolerance runs the sharded ledger instead (sharded.cpp). The
+// wire protocol and its invariants are documented in internal.hpp.
 #include <algorithm>
 #include <cmath>
 #include <deque>
@@ -366,9 +365,7 @@ void run_ledger_master(MapContext& ctx) {
         } else {
           // Commit even if the attempt was presumed lost (Pending again
           // after a timeout) or written off (Failed): the work is real
-          // and the worker holds the data. Under the steal policy this is
-          // also the common case — deque and stolen tasks are Pending in
-          // the ledger until their first completion report lands here.
+          // and the worker holds the data.
           g.commit = 1;
           if (e.state == TaskState::Pending) --npending;
           if (e.state == TaskState::Outstanding) {
@@ -385,10 +382,7 @@ void run_ledger_master(MapContext& ctx) {
           ++ndone;
         }
       }
-      // Steal mode: a worker with local work reports wants = 0 and only
-      // needs the commit decision; granting it a task here would
-      // duplicate work that some deque already holds.
-      const std::int64_t task = req.wants != 0 ? pick_task(src) : -1;
+      const std::int64_t task = pick_task(src);
       if (task >= 0) {
         grant_task(src, static_cast<std::uint64_t>(task));
         g.assign = task;
@@ -400,8 +394,7 @@ void run_ledger_master(MapContext& ctx) {
           ++accounted;
         }
       } else {
-        // Work may reappear if an outstanding attempt times out (or, in
-        // steal mode, simply still lives in other workers' deques).
+        // Work may reappear if an outstanding attempt times out.
         g.assign = kAssignRetryLater;
       }
     }

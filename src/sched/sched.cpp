@@ -1,6 +1,7 @@
 #include "sched/sched.hpp"
 
 #include "common/error.hpp"
+#include "fault/fault.hpp"
 #include "sched/internal.hpp"
 
 namespace mrbio::sched {
@@ -26,6 +27,15 @@ const char* policy_name(Policy policy) {
     case Policy::Steal: return "steal";
   }
   return "?";
+}
+
+bool requires_ft(const fault::FaultPlan& plan, Policy policy) {
+  if (!plan.crashes.empty()) return true;
+  for (const fault::MessageFault& m : plan.messages) {
+    if (m.kind == fault::MessageFault::Kind::Drop) return true;
+    if (m.kind == fault::MessageFault::Kind::Duplicate && is_remote(policy)) return true;
+  }
+  return false;
 }
 
 void run_all_local(MapContext& ctx) {

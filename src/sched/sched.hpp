@@ -31,6 +31,10 @@ namespace mrbio::trace {
 class Recorder;
 }
 
+namespace mrbio::fault {
+struct FaultPlan;
+}
+
 namespace mrbio::sched {
 
 /// Which scheduler runs a map phase. `Auto` defers to the host's legacy
@@ -264,6 +268,16 @@ constexpr bool is_remote(Policy policy) {
   return policy == Policy::Master || policy == Policy::MasterFt ||
          policy == Policy::Steal;
 }
+
+/// True when `plan` needs the fault-tolerant protocol to make progress
+/// under `policy` (concrete, not Auto): crashes lose work that must be
+/// re-granted, a dropped message must be resent, and a duplicated message
+/// of a remote protocol (a repeated grant, request or steal claim) must be
+/// absorbed by the seq-numbered replay. Delays and slow ranks only shape
+/// the timeline, and job kills and checkpoint corruption exercise restart,
+/// so those run on any scheduler — as do duplicates under the static
+/// policies, whose map exchanges no scheduling messages.
+bool requires_ft(const fault::FaultPlan& plan, Policy policy);
 
 /// Resolved shard count of the sharded steal-ft ledger: ft.ledger_ranks
 /// clamped to [1, nranks], with the 0 default meaning "one shard per

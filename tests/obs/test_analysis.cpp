@@ -6,15 +6,19 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <functional>
+#include <thread>
 
 #include "mpi/comm.hpp"
 #include "mrblast/mrblast.hpp"
+#include "mrmpi/mapreduce.hpp"
 #include "mrsom/mrsom.hpp"
 #include "obs/metrics.hpp"
+#include "rt/backend.hpp"
 #include "sim/engine.hpp"
 #include "trace/trace.hpp"
 
@@ -317,6 +321,77 @@ TEST(ZeroPerturbation, SomVirtualTimeIdenticalWithMetricsAndReport) {
   EXPECT_GT(registry.histogram("som.epoch_reduce_seconds").count(), 0u);
   const Report report = analyze(rec);
   EXPECT_DOUBLE_EQ(report.makespan, bare);
+}
+
+// A 4-rank map of 96 equal tasks, then collate + reduce. Each task costs
+// 5 ms: charged virtual time on sim, a real sleep on native (where
+// compute() is free). The decomposition counts each native rank's thread
+// start-up and teardown (1-3 ms, more under sanitizers) as idle; a sleep
+// rather than a spin keeps that small on a busy host, and ~120 ms of map
+// per rank keeps its share well inside the 5-point comparison below.
+Report map_run_report(rt::Backend backend, sched::Policy policy) {
+  Recorder rec(4, Level::Full);
+  rt::LaunchConfig lc;
+  lc.backend = backend;
+  lc.nranks = 4;
+  lc.recorder = &rec;
+  rt::launch(lc, [&](rt::Rank& rank) {
+    mpi::Comm comm(rank);
+    mrmpi::MapReduceConfig config;
+    config.scheduler = policy;
+    mrmpi::MapReduce mr(comm, config);
+    mr.map(96, [&](std::uint64_t task, mrmpi::KeyValue& kv) {
+      if (backend == rt::Backend::Sim) {
+        comm.compute(5e-3);
+      } else {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      }
+      kv.add("k" + std::to_string(task % 8), "1");
+    });
+    mr.collate();
+    mr.reduce([](const mrmpi::KmvGroup& group, mrmpi::KeyValue& kv) {
+      kv.add(std::string(reinterpret_cast<const char*>(group.key.data()),
+                         group.key.size()),
+             std::to_string(group.values.size()));
+    });
+  });
+  return analyze(rec);
+}
+
+double path_idle_share(const Report& report) {
+  return label_seconds(report.path, "idle") / report.path.length;
+}
+
+double breakdown_idle_share(const Report& report) {
+  return report.total.idle_other / report.total.final_time;
+}
+
+// On native no Compute primitives are recorded, so the stretch before a
+// rank's first message is its whole map phase. The critical path must
+// label it from the spans covering it, not as idle: the path's idle share
+// agrees with the decomposition's on both chunk and steal.
+TEST(CriticalPath, NativeMapIdleShareAgreesWithDecomposition) {
+  for (const sched::Policy policy : {sched::Policy::Chunk, sched::Policy::Steal}) {
+    const Report report = map_run_report(rt::Backend::Native, policy);
+    EXPECT_NEAR(report.path.length, report.makespan, 1e-9 * report.makespan);
+    EXPECT_NEAR(path_idle_share(report), breakdown_idle_share(report), 0.05)
+        << sched::policy_name(policy);
+  }
+}
+
+// The sim backend records Compute primitives from t = 0, so its labels
+// come from the primitive walk: the map time is on the path as map tasks
+// and the path carries no idle stretch.
+TEST(CriticalPath, SimMapLabelsComeFromTheWalkedEvents) {
+  for (const sched::Policy policy : {sched::Policy::Chunk, sched::Policy::Steal}) {
+    const Report report = map_run_report(rt::Backend::Sim, policy);
+    EXPECT_NEAR(report.path.length, report.makespan, 1e-9 * report.makespan);
+    EXPECT_EQ(label_seconds(report.path, "idle"), 0.0) << sched::policy_name(policy);
+    EXPECT_NEAR(path_idle_share(report), breakdown_idle_share(report), 0.05)
+        << sched::policy_name(policy);
+    EXPECT_GT(label_seconds(report.path, "map_task"), 0.5 * report.makespan)
+        << sched::policy_name(policy);
+  }
 }
 
 }  // namespace

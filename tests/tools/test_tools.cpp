@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 
 #include "blast/sequence.hpp"
@@ -50,6 +51,111 @@ class ToolsTest : public ::testing::Test {
   }
 
   std::string path(const std::string& name) const { return (dir_ / name).string(); }
+
+  /// Every file of `dir`, concatenated in name order (empty if absent).
+  static std::string dir_bytes(const std::string& dir) {
+    std::map<std::string, std::string> files;
+    if (fs::exists(dir)) {
+      for (const auto& entry : fs::directory_iterator(dir)) {
+        files[entry.path().filename().string()] = slurp(entry.path());
+      }
+    }
+    std::string all;
+    for (const auto& [name, bytes] : files) all += name + '\n' + bytes;
+    return all;
+  }
+
+  /// Two genomes shredded into reads and formatted into a DB.
+  void write_blast_testbed() {
+    Rng rng(23);
+    std::vector<blast::Sequence> genomes;
+    for (int g = 0; g < 2; ++g) {
+      genomes.push_back(blast::random_sequence(rng, "genome" + std::to_string(g), 900,
+                                               blast::SeqType::Dna));
+    }
+    blast::write_fasta_file(path("genomes.fa"), genomes, blast::SeqType::Dna);
+    ASSERT_EQ(run(tool("shred_fasta") + " --in " + path("genomes.fa") + " --out " +
+                  path("reads.fa") + " --length 200 --overlap 100"),
+              0);
+    ASSERT_EQ(run(tool("mrformatdb") + " --in " + path("genomes.fa") + " --out " +
+                  path("db") + " --volume-residues 2000"),
+              0);
+  }
+
+  std::string blast_args(const std::string& out) const {
+    return " --query " + path("reads.fa") + " --db " + path("db.mal") + " --out " + out +
+           " --ranks 3 --block 4 --evalue 1e-6 --no-filter";
+  }
+
+  void write_som_input() {
+    Rng rng(21);
+    std::vector<blast::Sequence> frags;
+    for (int i = 0; i < 30; ++i) {
+      frags.push_back(blast::random_sequence(rng, "f" + std::to_string(i), 600,
+                                             blast::SeqType::Dna));
+    }
+    blast::write_fasta_file(path("frags.fa"), frags, blast::SeqType::Dna);
+  }
+
+  std::string som_args(const std::string& out) const {
+    return " --fasta " + path("frags.fa") +
+           " --tetra --rows 4 --cols 4 --epochs 2 --ranks 3 --block 5 --out " + out;
+  }
+
+  /// Checks the fault-gating rule on one driver. `cmd(sched, out)` is a
+  /// fault-free command line under --scheduler `sched` writing its
+  /// outputs to `out`; `bytes(out)` reads those outputs back.
+  void expect_one_fault_gating_rule(
+      const std::function<std::string(const std::string&, const std::string&)>& cmd,
+      const std::function<std::string(const std::string&)>& bytes) {
+    const std::string ft_on = "fault-tolerant protocol: enabled";
+    for (const char* sched : {"chunk", "master", "steal"}) {
+      ASSERT_EQ(run(cmd(sched, std::string("base_") + sched)), 0) << sched;
+      ASSERT_FALSE(bytes(std::string("base_") + sched).empty()) << sched;
+    }
+
+    // Delay and slow faults under a static scheduler: accepted, no ft.
+    ASSERT_EQ(run(cmd("chunk", "chunk_delay") + " --log info" +
+                  " --faults \"delay:src=-1,dst=-1,by=0.05,count=3; slow:rank=1,factor=3\""),
+              0)
+        << stderr_text();
+    EXPECT_EQ(stderr_text().find(ft_on), std::string::npos);
+    EXPECT_EQ(bytes("chunk_delay"), bytes("base_chunk"));
+
+    // Crash and drop faults under a static scheduler: rejected up front.
+    EXPECT_NE(run(cmd("chunk", "chunk_crash") + " --faults \"crash:rank=1,task=1\""), 0);
+    EXPECT_NE(stderr_text().find("remote scheduler"), std::string::npos) << stderr_text();
+    EXPECT_NE(run(cmd("chunk", "chunk_drop") + " --faults \"drop:src=-1,dst=-1,count=1\""),
+              0);
+    EXPECT_NE(stderr_text().find("remote scheduler"), std::string::npos) << stderr_text();
+
+    // Duplicates under steal turn ft on.
+    ASSERT_EQ(run(cmd("steal", "steal_dup") + " --log info" +
+                  " --faults \"dup:src=-1,dst=-1,count=3\""),
+              0)
+        << stderr_text();
+    EXPECT_NE(stderr_text().find(ft_on + " under steal"), std::string::npos);
+    EXPECT_NE(stdout_text().find(", 3 duplicates"), std::string::npos) << stdout_text();
+    EXPECT_EQ(bytes("steal_dup"), bytes("base_steal"));
+
+    // Duplicates and delays under master: the output bytes of the
+    // fault-free run. Duplicated grants from rank 0 wedge the plain
+    // master-worker protocol, so a dup plan turns ft on under master too.
+    ASSERT_EQ(run(cmd("master", "master_dup") + " --log info" +
+                  " --faults \"dup:src=0,dst=-1,count=3\""),
+              0)
+        << stderr_text();
+    EXPECT_NE(stderr_text().find(ft_on + " under master"), std::string::npos);
+    EXPECT_NE(stdout_text().find(", 3 duplicates"), std::string::npos) << stdout_text();
+    EXPECT_EQ(bytes("master_dup"), bytes("base_master"));
+    ASSERT_EQ(run(cmd("master", "master_delay") + " --log info" +
+                  " --faults \"delay:src=-1,dst=-1,by=0.05,count=3\""),
+              0)
+        << stderr_text();
+    EXPECT_EQ(stderr_text().find(ft_on), std::string::npos);
+    EXPECT_NE(stdout_text().find(", 3 delays"), std::string::npos) << stdout_text();
+    EXPECT_EQ(bytes("master_delay"), bytes("base_master"));
+  }
 
   fs::path dir_;
 };
@@ -141,19 +247,7 @@ TEST_F(ToolsTest, FullBlastPipeline) {
 }
 
 TEST_F(ToolsTest, SimdFlagSelectsLevelWithIdenticalHits) {
-  Rng rng(23);
-  std::vector<blast::Sequence> genomes;
-  for (int g = 0; g < 2; ++g) {
-    genomes.push_back(
-        blast::random_sequence(rng, "genome" + std::to_string(g), 900, blast::SeqType::Dna));
-  }
-  blast::write_fasta_file(path("genomes.fa"), genomes, blast::SeqType::Dna);
-  ASSERT_EQ(run(tool("shred_fasta") + " --in " + path("genomes.fa") + " --out " +
-                path("reads.fa") + " --length 200 --overlap 100"),
-            0);
-  ASSERT_EQ(run(tool("mrformatdb") + " --in " + path("genomes.fa") + " --out " +
-                path("db") + " --volume-residues 2000"),
-            0);
+  ASSERT_NO_FATAL_FAILURE(write_blast_testbed());
 
   auto hits_of = [&](const std::string& out) {
     std::map<std::string, std::string> files;
@@ -281,31 +375,39 @@ TEST_F(ToolsTest, CorruptCodebookRejected) {
   EXPECT_THROW(som::load_codebook(path("junk.cb")), InputError);
 }
 
-// ISSUE 7 satellites: --timeseries-out / --metrics-out without --report,
-// and the timeseries + phase-skew sections of --report-json.
+// The --obs-dir bundle without --report: the raw registry dump, a JSONL
+// stream of sampled channels, and the report JSON with its timeseries and
+// phase-skew sections.
 TEST_F(ToolsTest, ObservabilityOutputsOnGraphDriver) {
-  // --metrics-out and --timeseries-out alone (no --report): raw registry
-  // dump and a JSONL stream of sampled channels.
   ASSERT_EQ(run(tool("mrgraph_build") + " --nseq 32 --family 8 --ranks 4" +
-                " --compute-cell 1e-7 --metrics-out " + path("metrics.json") +
-                " --timeseries-out " + path("ts.jsonl")),
+                " --compute-cell 1e-7 --obs-dir " + path("obs")),
             0);
-  const std::string metrics = slurp(path("metrics.json"));
+  const std::string metrics = slurp(path("obs/metrics.json"));
   EXPECT_NE(metrics.find("\"counters\""), std::string::npos);
   EXPECT_NE(metrics.find("mrmpi.map_tasks"), std::string::npos);
-  const std::string ts = slurp(path("ts.jsonl"));
+  const std::string ts = slurp(path("obs/timeseries.jsonl"));
   EXPECT_NE(ts.find("\"channel\":\"busy_seconds\""), std::string::npos);
   EXPECT_NE(ts.find("\"channel\":\"mrmpi.tasks_done\""), std::string::npos);
 
-  // --report-json embeds the same data plus the new skew analysis.
-  ASSERT_EQ(run(tool("mrgraph_build") + " --nseq 32 --family 8 --ranks 4" +
-                " --compute-cell 1e-7 --report-json " + path("report.json")),
-            0);
-  const std::string report = slurp(path("report.json"));
+  // report.json embeds the same data plus the skew analysis.
+  const std::string report = slurp(path("obs/report.json"));
   EXPECT_NE(report.find("\"phase_skew\":"), std::string::npos);
   EXPECT_NE(report.find("\"stragglers\":"), std::string::npos);
   EXPECT_NE(report.find("\"timeseries\":"), std::string::npos);
   EXPECT_NE(report.find("\"metrics\":"), std::string::npos);
+
+  // mrbio_report re-analyzes the bundle's trace.json offline to the same
+  // critical path.
+  ASSERT_EQ(run(tool("mrbio_report") + " --obs-dir " + path("obs") + " --json " +
+                path("offline.json")),
+            0);
+  const std::string offline = slurp(path("offline.json"));
+  const auto path_of = [](const std::string& json) {
+    const auto at = json.find("\"critical_path\":");
+    return json.substr(at, json.find(']', at) - at);
+  };
+  ASSERT_NE(offline.find("\"critical_path\":"), std::string::npos);
+  EXPECT_EQ(path_of(offline), path_of(report));
 }
 
 // ISSUE 7 acceptance: a slow: fault plan must surface the injected rank in
@@ -314,9 +416,9 @@ TEST_F(ToolsTest, ObservabilityOutputsOnGraphDriver) {
 TEST_F(ToolsTest, SlowFaultRankNamedInStragglers) {
   ASSERT_EQ(run(tool("mrgraph_build") + " --nseq 48 --family 8 --ranks 4" +
                 " --compute-cell 1e-7 --faults \"slow:rank=2,factor=8\"" +
-                " --report-json " + path("report.json")),
+                " --obs-dir " + path("obs")),
             0);
-  const std::string report = slurp(path("report.json"));
+  const std::string report = slurp(path("obs/report.json"));
   const auto at = report.find("\"stragglers\":[{\"rank\":2,");
   ASSERT_NE(at, std::string::npos) << report;
   const std::string entry = report.substr(at, report.find(']', at) - at);
@@ -359,17 +461,12 @@ TEST_F(ToolsTest, GraphMidMapCrashYieldsByteIdenticalEdges) {
             0);
 }
 
-// ISSUE 7 satellite: installing the structured event-log sink must leave
-// the plain-text stderr stream byte-identical. The empty checkpoint dir
-// with --resume deterministically emits one Warn line to compare.
+// Installing the structured event-log sink (--obs-dir's events.jsonl)
+// must leave the plain-text stderr stream byte-identical. The empty
+// checkpoint dir with --resume deterministically emits one Warn line to
+// compare.
 TEST_F(ToolsTest, LogJsonKeepsStderrByteIdentical) {
-  Rng rng(21);
-  std::vector<blast::Sequence> frags;
-  for (int i = 0; i < 30; ++i) {
-    frags.push_back(blast::random_sequence(rng, "f" + std::to_string(i), 600,
-                                           blast::SeqType::Dna));
-  }
-  blast::write_fasta_file(path("frags.fa"), frags, blast::SeqType::Dna);
+  write_som_input();
   const std::string train = tool("mrsom_train") + " --fasta " + path("frags.fa") +
                             " --tetra --rows 4 --cols 4 --epochs 2 --ranks 3" +
                             " --checkpoint-dir " + path("ckpt") + " --resume" +
@@ -379,12 +476,78 @@ TEST_F(ToolsTest, LogJsonKeepsStderrByteIdentical) {
   const std::string plain_stderr = stderr_text();
   ASSERT_NE(plain_stderr.find("no checkpoint found"), std::string::npos);
 
-  ASSERT_EQ(run(train + " --log-json " + path("events.jsonl")), 0);
+  ASSERT_EQ(run(train + " --obs-dir " + path("obs")), 0);
   EXPECT_EQ(stderr_text(), plain_stderr);  // byte-identical with the sink on
 
-  const std::string events = slurp(path("events.jsonl"));
+  const std::string events = slurp(path("obs/events.jsonl"));
   EXPECT_NE(events.find("\"severity\":\"warn\""), std::string::npos);
   EXPECT_NE(events.find("no checkpoint found"), std::string::npos);
+}
+
+// A successful checkpointed run removes its checkpoint dir, so the same
+// command can run again: a leftover dir would hold "a checkpoint" and the
+// second run would refuse to start without --resume.
+TEST_F(ToolsTest, GraphCheckpointDirRemovedAfterSuccess) {
+  const std::string cmd = tool("mrgraph_build") + " --nseq 32 --family 8 --block 4" +
+                          " --ranks 4 --compute-cell 1e-7 --checkpoint-dir " +
+                          path("ckpt");
+  ASSERT_EQ(run(cmd), 0) << stderr_text();
+  EXPECT_FALSE(fs::exists(path("ckpt")));
+  ASSERT_EQ(run(cmd), 0) << stderr_text();
+  EXPECT_FALSE(fs::exists(path("ckpt")));
+}
+
+// The event-log sink is installed before the first log line of a run, so
+// events.jsonl holds the SIMD-level line that stderr shows.
+TEST_F(ToolsTest, EventsJsonlHoldsEveryLogLineOfEachDriver) {
+  ASSERT_NO_FATAL_FAILURE(write_blast_testbed());
+  write_som_input();
+  const std::string drivers[] = {
+      tool("mrblast_search") + blast_args(path("hits")),
+      tool("mrsom_train") + som_args(path("som")),
+      tool("mrgraph_build") + " --nseq 32 --family 8 --ranks 4",
+  };
+  for (const std::string& cmd : drivers) {
+    fs::remove_all(path("obs"));
+    ASSERT_EQ(run(cmd + " --log info --obs-dir " + path("obs")), 0) << cmd;
+    ASSERT_NE(stderr_text().find("simd level"), std::string::npos) << cmd;
+    EXPECT_NE(slurp(path("obs/events.jsonl")).find("simd level"), std::string::npos)
+        << cmd;
+  }
+}
+
+// One fault-gating rule for all three drivers: delay and slow faults run
+// on any scheduler without the fault-tolerant protocol; crash and drop
+// faults need it and so are rejected under a static scheduler; duplicates
+// need it under a remote scheduler. None of them changes the output bytes.
+TEST_F(ToolsTest, BlastFaultGating) {
+  ASSERT_NO_FATAL_FAILURE(write_blast_testbed());
+  expect_one_fault_gating_rule(
+      [&](const std::string& sched, const std::string& out) {
+        return tool("mrblast_search") + blast_args(path(out)) + " --scheduler " + sched;
+      },
+      [&](const std::string& out) { return dir_bytes(path(out)); });
+}
+
+TEST_F(ToolsTest, SomFaultGating) {
+  write_som_input();
+  // --deterministic: a schedule-independent reduction, so the codebook
+  // bytes of a dynamic scheduler do not depend on message timing.
+  expect_one_fault_gating_rule(
+      [&](const std::string& sched, const std::string& out) {
+        return tool("mrsom_train") + som_args(path(out)) + " --deterministic" +
+               " --scheduler " + sched;
+      },
+      [&](const std::string& out) { return slurp(path(out) + ".cb"); });
+}
+
+TEST_F(ToolsTest, GraphFaultGating) {
+  expect_one_fault_gating_rule(
+      [&](const std::string& sched, const std::string& out) {
+        return tool("mrgraph_build") + " --nseq 32 --family 8 --block 4 --ranks 4" +
+               " --compute-cell 1e-7 --out-dir " + path(out) + " --scheduler " + sched;
+      },
+      [&](const std::string& out) { return dir_bytes(path(out)); });
 }
 
 // ISSUE 7 acceptance: the bench matrix round-trips through compare against

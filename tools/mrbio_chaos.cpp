@@ -12,7 +12,9 @@
 //      --resume while the driver reports a job kill (exit 3),
 //   4. gates on byte-identity of every per-rank edge file against the
 //      baseline and on a recovery-cost budget (total map tasks executed
-//      across every attempt, as a multiple of the fault-free count).
+//      across every attempt, as a multiple of the fault-free count; each
+//      attempt, killed ones included, writes its own --obs-dir bundle and
+//      the budget sums their metrics.json).
 //
 //   mrbio_chaos --seeds 8 --scheduler steal --ckpt
 //   mrbio_chaos --seeds 3 --scheduler master --style master --no-crash
@@ -186,18 +188,20 @@ SeedResult run_seed(const ChaosConfig& cfg, std::uint64_t seed) {
   const std::string base_out = (dir / "base").string();
   const std::string chaos_out = (dir / "chaos").string();
 
+  auto map_tasks = [&](const std::string& obs) {
+    return number_after(slurp(dir / obs / "metrics.json"), "\"mrmpi.map_tasks\"", 0.0);
+  };
+
   // 1. Fault-free baseline.
   const std::string base_cmd = cfg.driver + workload_flags(cfg) + " --out-dir " +
-                               base_out + " --metrics-out " +
-                               (dir / "base.metrics.json").string();
+                               base_out + " --obs-dir " + (dir / "base.obs").string();
   const RunOutcome base = run_command(base_cmd, (dir / "base.log").string());
   if (base.exit_code != 0) {
     return {false, "baseline failed with exit " + std::to_string(base.exit_code)};
   }
   const double elapsed = number_after(base.stdout_text, "elapsed", 0.0);
   const std::string base_sum = token_after(base.stdout_text, "checksum");
-  const double base_tasks = number_after(slurp(dir / "base.metrics.json"),
-                                         "\"mrmpi.map_tasks\"", 0.0);
+  const double base_tasks = map_tasks("base.obs");
   if (elapsed <= 0.0 || base_sum.empty() || base_tasks <= 0.0) {
     return {false, "could not parse the baseline run"};
   }
@@ -214,9 +218,10 @@ SeedResult run_seed(const ChaosConfig& cfg, std::uint64_t seed) {
   const int max_attempts = 6;
   int attempt = 0;
   for (; attempt < max_attempts; ++attempt) {
+    const std::string obs = "chaos." + std::to_string(attempt) + ".obs";
     std::ostringstream cmd;
     cmd << cfg.driver << workload_flags(cfg) << " --out-dir " << chaos_out
-        << " --metrics-out " << (dir / "chaos.metrics.json").string();
+        << " --obs-dir " << (dir / obs).string();
     if (cfg.scheduler == "steal") {
       cmd << " --ledger-ranks " << cfg.ledger_ranks;
       if (!cfg.heartbeat.empty()) cmd << " --heartbeat " << cfg.heartbeat;
@@ -230,8 +235,7 @@ SeedResult run_seed(const ChaosConfig& cfg, std::uint64_t seed) {
     const RunOutcome run = run_command(
         cmd.str(), (dir / ("chaos." + std::to_string(attempt) + ".log")).string());
     last_text = run.stdout_text;
-    chaos_tasks += number_after(slurp(dir / "chaos.metrics.json"),
-                                "\"mrmpi.map_tasks\"", 0.0);
+    chaos_tasks += map_tasks(obs);
     if (run.exit_code == 0) break;
     if (run.exit_code != 3 || !cfg.ckpt) {
       return {false, "chaos run failed with exit " + std::to_string(run.exit_code) +

@@ -1,13 +1,15 @@
-// mrbio_report: offline performance-report generator. Reads a Chrome-
-// tracing JSON produced by the simulators (mrblast_search / mrsom_train /
-// the bench drivers with --trace), reconstructs the span stream plus its
-// happens-before edges, and prints the critical-path and idle-time
-// analysis from src/obs. The same analysis runs in-process via --report
-// on the drivers; this tool exists so saved traces can be re-analyzed.
+// mrbio_report: offline performance-report generator. Reads the trace of
+// a driver's --obs-dir bundle (mrblast_search / mrsom_train /
+// mrgraph_build), reconstructs the span stream plus its happens-before
+// edges, and prints the critical-path and idle-time analysis from
+// src/obs. The same analysis runs in-process via --report and lands in
+// the bundle's report.json; this tool exists so saved runs can be
+// re-analyzed with other settings.
 //
-//   mrbio_report --trace run.json [--json report.json]
+//   mrbio_report --obs-dir run/ [--json report.json]
 //                [--straggler-k 1.5] [--rank-rows 16]
 #include <cstdio>
+#include <filesystem>
 
 #include "common/log.hpp"
 #include "common/options.hpp"
@@ -17,8 +19,9 @@
 using namespace mrbio;
 
 int main(int argc, char** argv) {
-  Options opts("mrbio_report: critical-path / idle-time report from a trace JSON");
-  opts.add("trace", "", "Chrome-tracing JSON written by the simulators (required)");
+  Options opts("mrbio_report: critical-path / idle-time report from a run's --obs-dir");
+  opts.add("obs-dir", "", "bundle written by a driver's --obs-dir; reads its trace.json "
+                          "(required)");
   opts.add("json", "", "also write the report as machine-readable JSON to this path");
   opts.add("straggler-k", "1.5", "flag ranks with busy time > k x median");
   opts.add("skew-top-k", "3", "slowest ranks listed per phase in the skew table");
@@ -27,9 +30,10 @@ int main(int argc, char** argv) {
   try {
     if (!opts.parse(argc, argv)) return 0;
     if (!opts.str("log").empty()) set_log_level(parse_log_level(opts.str("log")));
-    MRBIO_REQUIRE(!opts.str("trace").empty(), "--trace is required\n", opts.usage());
+    MRBIO_REQUIRE(!opts.str("obs-dir").empty(), "--obs-dir is required\n", opts.usage());
 
-    const trace::LoadedTrace loaded = trace::read_chrome_trace(opts.str("trace"));
+    const trace::LoadedTrace loaded = trace::read_chrome_trace(
+        (std::filesystem::path(opts.str("obs-dir")) / "trace.json").string());
     obs::AnalyzeOptions aopts;
     aopts.straggler_k = opts.real("straggler-k");
     aopts.skew_top_k = static_cast<std::size_t>(opts.integer("skew-top-k"));
