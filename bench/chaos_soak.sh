@@ -57,8 +57,8 @@ run_leg() {
 }
 
 # The full fault menu (crashes incl. rank 0, kills, shard corruption,
-# shaping) only exists under the sharded steal ledger with a checkpoint
-# dir; the remaining legs exercise the subsets their stacks support.
+# shaping) exists under a remote scheduler with a checkpoint dir; the
+# remaining legs exercise the subsets their stacks support.
 run_leg steal-ckpt          --scheduler steal --ckpt --seed0 1
 run_leg steal-ckpt-sharded  --scheduler steal --ckpt --ledger-ranks 2 \
                             --heartbeat interval=0.2,phi=6 --seed0 101

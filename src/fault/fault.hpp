@@ -142,7 +142,7 @@ struct FaultPlan {
   /// Throws mrbio::InputError when a fault references a rank outside
   /// [0, nranks), a crash targets the master (rank 0) without a scheduler
   /// that supports master failover (`master_failover` true relaxes that —
-  /// the sharded steal-ft ledger elects a deterministic successor), or a
+  /// the exactly-once ledger elects a deterministic successor), or a
   /// corrupt-checkpoint fault is present with no checkpoint dir
   /// configured (`checkpointing` false).
   void validate(int nranks, bool checkpointing = false,

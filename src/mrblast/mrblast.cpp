@@ -254,11 +254,9 @@ RealRunResult run_blast_mr(mpi::Comm& comm, const RealRunConfig& config) {
       }
       (void)vol;
     };
+    const sched::Policy policy = mrmpi::resolve_policy(config.scheduler, config.map_style);
     const bool master_sched =
-        config.scheduler == sched::Policy::Master ||
-        config.scheduler == sched::Policy::MasterFt ||
-        (config.scheduler == sched::Policy::Auto &&
-         config.map_style == mrmpi::MapStyle::MasterWorker);
+        policy == sched::Policy::Master || policy == sched::Policy::MasterFt;
     if (config.locality_aware && master_sched) {
       mr.map_locality(units, [&](std::uint64_t unit) { return unit % nparts; }, map_fn);
     } else {
@@ -532,11 +530,9 @@ SimRunStats run_blast_sim(mpi::Comm& comm, const SimRunConfig& config) {
       kv.add(std::as_bytes(std::span(key.data(), key.size())), {},
              wl.unit_hit_bytes(unit));
     };
+    const sched::Policy policy = mrmpi::resolve_policy(config.scheduler, config.map_style);
     const bool master_sched =
-        config.scheduler == sched::Policy::Master ||
-        config.scheduler == sched::Policy::MasterFt ||
-        (config.scheduler == sched::Policy::Auto &&
-         config.map_style == mrmpi::MapStyle::MasterWorker);
+        policy == sched::Policy::Master || policy == sched::Policy::MasterFt;
     if (config.locality_aware && master_sched) {
       mr.map_locality(
           units, [&](std::uint64_t iter_unit) { return iter_unit % nparts; }, map_fn);

@@ -116,15 +116,12 @@ std::uint64_t MapReduce::run_map(std::uint64_t ntasks, const MapFn& fn, bool app
   PhaseSpan span(rec, comm_, "map");
   failed_tasks_.clear();
   KeyValue out = make_kv();
-  const sched::Policy policy = resolve_policy();
+  const sched::Policy policy = resolve_policy(config_.scheduler, config_.map_style);
 
   // Replay any checkpointed task outputs for this cycle into `out` before
   // scheduling; remotely scheduled runs (master-worker, steal) share the
   // claims so the scheduler can pre-mark restored tasks as committed.
-  const bool shared = sched::is_remote(policy) && comm_.size() > 1;
-  const bool sharded = policy == sched::Policy::Steal && config_.ft.enabled;
-  const std::vector<CkptDoneTask> ckpt_done =
-      ckpt_begin_map(ntasks, out, shared, shared && sharded);
+  const std::vector<CkptDoneTask> ckpt_done = ckpt_begin_map(ntasks, out, policy);
 
   run_sched(policy, ntasks, nullptr, fn, out, ckpt_done);
   ckpt_end_map();
@@ -178,16 +175,12 @@ std::uint64_t MapReduce::map_locality(std::uint64_t ntasks, const AffinityFn& af
   failed_tasks_.clear();
   KeyValue out = make_kv();
   // Locality scheduling needs a central grant loop, so static policies
-  // upgrade to the master; steal keeps its decentralized path and ignores
-  // the affinity function (the ledger backstop still honours it).
-  sched::Policy policy = resolve_policy();
-  if (policy == sched::Policy::Chunk || policy == sched::Policy::Stride) {
-    policy = sched::Policy::Master;
-  }
-  const bool loc_shared = comm_.size() > 1;
-  const std::vector<CkptDoneTask> ckpt_done = ckpt_begin_map(
-      ntasks, out, loc_shared,
-      loc_shared && policy == sched::Policy::Steal && config_.ft.enabled);
+  // upgrade to the master. Steal's deques ignore the affinity function;
+  // under ft its ledger grants (the backstop once the deques drain)
+  // honour it, as master-ft's do.
+  sched::Policy policy = resolve_policy(config_.scheduler, config_.map_style);
+  if (!sched::is_remote(policy)) policy = sched::Policy::Master;
+  const std::vector<CkptDoneTask> ckpt_done = ckpt_begin_map(ntasks, out, policy);
   run_sched(policy, ntasks, &affinity, fn, out, ckpt_done);
   ckpt_end_map();
   kv_ = std::move(out);
@@ -252,9 +245,9 @@ class MapReduce::ExecImpl final : public sched::Executor {
   KeyValue staging_;
 };
 
-sched::Policy MapReduce::resolve_policy() const {
-  if (config_.scheduler != sched::Policy::Auto) return config_.scheduler;
-  switch (config_.map_style) {
+sched::Policy resolve_policy(sched::Policy scheduler, MapStyle style) {
+  if (scheduler != sched::Policy::Auto) return scheduler;
+  switch (style) {
     case MapStyle::Chunk: return sched::Policy::Chunk;
     case MapStyle::Stride: return sched::Policy::Stride;
     case MapStyle::MasterWorker: return sched::Policy::Master;
@@ -285,8 +278,8 @@ void MapReduce::run_sched(sched::Policy policy, std::uint64_t ntasks,
 }
 
 std::vector<MapReduce::CkptDoneTask> MapReduce::ckpt_begin_map(std::uint64_t ntasks,
-                                                              KeyValue& out, bool shared,
-                                                              bool sharded) {
+                                                              KeyValue& out,
+                                                              sched::Policy policy) {
   std::vector<CkptDoneTask> done;
   ckpt_ = CkptMapState{};
   ckpt::Checkpointer* cp = config_.checkpointer;
@@ -315,12 +308,12 @@ std::vector<MapReduce::CkptDoneTask> MapReduce::ckpt_begin_map(std::uint64_t nta
       });
 
   std::set<std::uint64_t> keep;
-  if (shared) {
-    // Under remote master-worker scheduling several ranks may hold the
-    // same task (committed, then reverted and re-run elsewhere). The ranks
-    // allgather their claims and the lowest rank keeps each task; every
-    // claim carries the claimant's current incarnation so the master's
-    // ledger reverts it correctly if that rank crashes later.
+  if (sched::is_remote(policy) && comm_.size() > 1) {
+    // Under remote scheduling several ranks may hold the same task
+    // (committed, then reverted and re-run elsewhere). The ranks allgather
+    // their claims and the lowest rank keeps each task; every claim
+    // carries the claimant's current incarnation so the ledger reverts it
+    // correctly if that rank crashes later.
     ByteWriter w;
     w.put<std::uint32_t>(sched_state_.incarnation);
     w.put<std::uint64_t>(static_cast<std::uint64_t>(mine.size()));
@@ -337,8 +330,8 @@ std::vector<MapReduce::CkptDoneTask> MapReduce::ckpt_begin_map(std::uint64_t nta
       }
     }
 
-    // Sharded steal-ft resume: overlay the shard journals, the commit
-    // authority of that protocol. A claimed task with no surviving journal
+    // Ledger resume (master-ft, steal-ft): overlay the shard journals, the
+    // commit authority of that protocol. A claimed task with no surviving journal
     // decision (the journal's tail was corrupted or never written) is
     // dropped and re-runs — which is how corrupting one shard's journal
     // degrades exactly that shard's task range and nothing else. Every
@@ -346,8 +339,8 @@ std::vector<MapReduce::CkptDoneTask> MapReduce::ckpt_begin_map(std::uint64_t nta
     // another exchange.
     std::map<std::uint64_t, sched::DoneTask> commits;
     bool use_journal = false;
-    if (sharded) {
-      const int nshards = sched::shard_count(config_.ft, comm_.size());
+    if (sched::runs_ledger(policy, config_.ft, comm_.size())) {
+      const int nshards = sched::shard_count(policy, config_.ft, comm_.size());
       if (cp->any_shard_log(ckpt_.cycle, nshards)) {
         use_journal = true;
         for (int s = 0; s < nshards; ++s) {

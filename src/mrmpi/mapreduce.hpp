@@ -41,20 +41,13 @@ enum class MapStyle {
   MasterWorker,  ///< rank 0 schedules tasks to idle workers (mapstyle 2)
 };
 
-/// Fault tolerance for the remote schedulers (MasterWorker / Steal).
-///
-/// When enabled, the scheduling protocol is replaced by a failure-aware
-/// one: every grant carries a sequence number and a commit decision,
-/// workers buffer each task's emissions in a staging store that is
-/// absorbed only after the master commits the task (the exactly-once
-/// work ledger), lost protocol messages are resent, tasks owned by crashed
-/// or timed-out workers are reassigned with exponential backoff, and a
-/// task that exhausts its retry budget is recorded as failed instead of
-/// wedging the run (graceful degradation to partial results; see
-/// MapReduce::failed_tasks()). The knobs live in sched::FtConfig.
-///
-/// Timeouts are in the backend's time base: virtual seconds on the DES,
-/// wall-clock seconds on the native backend.
+/// The scheduler policy a map runs under: `scheduler` unless it is Auto,
+/// else the policy of `style` (Chunk, Stride, or Master for MasterWorker).
+sched::Policy resolve_policy(sched::Policy scheduler, MapStyle style);
+
+/// Fault tolerance for the remote schedulers (MasterWorker / Steal): the
+/// exactly-once work ledger described at sched::FtConfig. Tasks that
+/// exhaust their retry budget are listed by MapReduce::failed_tasks().
 using FaultToleranceConfig = sched::FtConfig;
 
 /// How aggregate() moves KV pairs between ranks.
@@ -98,8 +91,8 @@ struct MapReduceConfig {
   /// behave exactly as before. Any other value overrides map_style:
   /// sched::Policy::Steal selects decentralized work stealing (per-rank
   /// deques seeded with the chunk partition, randomized victim selection,
-  /// token termination; with ft.enabled rank 0 additionally runs the
-  /// exactly-once ledger and every commit goes through it).
+  /// token termination; with ft.enabled every commit goes through the
+  /// exactly-once ledger, sharded over the ranks).
   sched::Policy scheduler = sched::Policy::Auto;
   /// Work-stealing knobs (batch size, victim-selection seed, idle backoff).
   sched::StealConfig steal;
@@ -263,8 +256,6 @@ class MapReduce {
   class ExecImpl;
 
   std::uint64_t run_map(std::uint64_t ntasks, const MapFn& fn, bool append);
-  /// config_.scheduler with Auto resolved from map_style (and ft.enabled).
-  sched::Policy resolve_policy() const;
   /// Builds the sched::MapContext (executor, protocol state, restored
   /// tasks) and runs the selected strategy, merging its stats into stats_.
   void run_sched(sched::Policy policy, std::uint64_t ntasks, const AffinityFn* affinity,
@@ -294,17 +285,17 @@ class MapReduce {
   /// True when this map journals task outputs.
   bool ckpt_active() const { return ckpt_.active; }
   /// Replays this rank's map log for the current cycle into `out` and
-  /// reopens the log for appending. With `shared` (remote master-worker
-  /// scheduling) the ranks allgather their replayed task ids and the
-  /// lowest rank keeps each task; the returned list is the global set of
-  /// restored tasks for the master's ledger. Without sharing the returned
-  /// list covers only this rank's tasks. With `sharded` (the sharded
-  /// steal-ft ledger) and existing shard journals, the journals are the
+  /// reopens the log for appending. Under a remote `policy` on several
+  /// ranks the ranks allgather their replayed task ids and the lowest
+  /// rank keeps each task; the returned list is the global set of
+  /// restored tasks for the scheduler. Otherwise the returned list covers
+  /// only this rank's tasks. When the map runs the exactly-once ledger
+  /// (sched::runs_ledger) and shard journals exist, the journals are the
   /// commit authority: a map-log record only counts when the journal's
   /// surviving decision for that task exists, so corrupting one shard's
   /// journal re-runs only that shard's range.
-  std::vector<CkptDoneTask> ckpt_begin_map(std::uint64_t ntasks, KeyValue& out, bool shared,
-                                           bool sharded);
+  std::vector<CkptDoneTask> ckpt_begin_map(std::uint64_t ntasks, KeyValue& out,
+                                           sched::Policy policy);
   /// Journals one committed task's emissions; flushes when the checkpoint
   /// interval has elapsed.
   void ckpt_record_task(std::uint64_t task, const KeyValue& emitted);

@@ -43,8 +43,8 @@ struct LaunchConfig {
   /// faults are rejected at launch without it.
   bool checkpointing = false;
   /// True when the selected scheduler survives the loss of rank 0 (the
-  /// steal scheduler's sharded ledger elects a successor); rank-0 crash
-  /// plans are rejected at launch without it.
+  /// exactly-once ledger of master-ft and steal-ft elects a successor);
+  /// rank-0 crash plans are rejected at launch without it.
   bool master_failover = false;
   /// Optional time-series sampler, forwarded to the selected backend and
   /// reachable via Rank::timeseries().

@@ -3,7 +3,10 @@
 // master-worker and the steal policy). Not part of the public surface.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <deque>
+#include <map>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -15,10 +18,10 @@
 namespace mrbio::sched {
 
 // ---------------------------------------------------------------------------
-// Fault-tolerant master-worker wire protocol.
+// Ledger wire protocol (client <-> shard owner).
 //
-// Each worker request carries a monotonically increasing sequence number
-// and the worker's incarnation (respawn count); each grant echoes the
+// Each client request carries a monotonically increasing sequence number
+// and the client's incarnation (respawn count); each grant echoes the
 // sequence it answers. Lost messages are handled by resending the request
 // and replaying the cached grant; duplicated or stale messages are
 // discarded by sequence comparison. A grant both commits (or discards)
@@ -29,26 +32,20 @@ namespace mrbio::sched {
 /// Grant `assign` sentinels (non-negative values are task ids).
 inline constexpr std::int64_t kAssignStop = -1;        ///< leave the protocol
 inline constexpr std::int64_t kAssignRetryLater = -2;  ///< nothing now; poll again
-/// Sharded ledger only: the receiver no longer owns the shard of the
-/// reported task; re-resolve the owner (an obit is or will be in flight)
-/// and re-send there. The commit decision in this grant is void.
+/// The receiver no longer owns the shard of the reported task; re-resolve
+/// the owner (an obit is or will be in flight) and re-send there. The
+/// commit decision in this grant is void.
 inline constexpr std::int64_t kAssignNotOwner = -3;
 
 struct WireReq {
   std::uint32_t incarnation = 0;  ///< respawn count of this worker
   std::uint32_t seq = 0;          ///< request sequence, never reused
-  std::uint8_t dead = 0;          ///< 1 = permanent death notification
   std::int64_t completed_task = -1;  ///< task finished since last grant
-  std::uint32_t attempt = 0;         ///< attempt number of completed_task
-  /// 1 = the worker is out of local work and asks the ledger for a task.
-  /// Sharded steal ledgers only grant to askers (workers with live deques
-  /// report completions with wants = 0); the master-worker ledger ignores
-  /// it, as its workers always ask.
+  /// 1 = the client is out of local work and asks the ledger for a task.
+  /// Owners only grant to askers: steal-shape workers with live deques
+  /// report completions with wants = 0, master-shape workers always ask.
   std::uint8_t wants = 1;
-  /// Sharded ledger: map epoch of the sender; stale epochs are dropped.
-  /// The single-master protocol leaves it 0 (seqs alone disambiguate —
-  /// rank 0 never restarts).
-  std::uint32_t epoch = 0;
+  std::uint32_t epoch = 0;  ///< map epoch of the sender; stale epochs are dropped
 };
 
 struct WireGrant {
@@ -58,14 +55,12 @@ struct WireGrant {
   std::uint32_t attempt = 0;  ///< attempt number of the assigned task
   /// 0 = the receiver must keep its staged task and re-report: the
   /// answering shard owner could not decide the commit (mid-failover).
-  /// Single-master grants always decide (1).
   std::uint8_t decided = 1;
   std::uint32_t epoch = 0;
-  /// Sharded ledger: every permanent death the sender knows of. A
-  /// protocol-crashed rank stays Active at the transport (its thread
-  /// lives on), so this piggyback — together with neighbor probes — is
-  /// how a worker stuck on a dead owner's channel learns to re-route.
-  /// Single-master grants leave it empty.
+  /// Every permanent death the sender knows of. A protocol-crashed rank
+  /// stays Active at the transport (its thread lives on), so this
+  /// piggyback — together with neighbor probes — is how a worker stuck on
+  /// a dead owner's channel learns to re-route.
   std::vector<std::int32_t> dead_set;
 };
 
@@ -73,9 +68,7 @@ inline std::vector<std::byte> pack_req(const WireReq& r) {
   ByteWriter w;
   w.put(r.incarnation);
   w.put(r.seq);
-  w.put(r.dead);
   w.put(r.completed_task);
-  w.put(r.attempt);
   w.put(r.wants);
   w.put(r.epoch);
   return w.take();
@@ -86,9 +79,7 @@ inline WireReq unpack_req(const rt::Message& m) {
   WireReq req;
   req.incarnation = r.get<std::uint32_t>();
   req.seq = r.get<std::uint32_t>();
-  req.dead = r.get<std::uint8_t>();
   req.completed_task = r.get<std::int64_t>();
-  req.attempt = r.get<std::uint32_t>();
   req.wants = r.get<std::uint8_t>();
   req.epoch = r.get<std::uint32_t>();
   return req;
@@ -201,7 +192,7 @@ inline StealToken unpack_token(const rt::Message& m) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded-ledger wire protocol (steal-ft). A dying rank broadcasts an
+// Ledger failover and quiescence wire protocol. A dying rank broadcasts an
 // Obit carrying its full dead-set and retransmits it until every live
 // peer acked; a dying shard owner additionally hands its in-memory
 // ledger image to the deterministic successor. Workers announce the end
@@ -340,6 +331,35 @@ inline int shard_of(std::uint64_t t, std::uint64_t ntasks, int nshards) {
   return static_cast<int>(((t + 1) * static_cast<std::uint64_t>(nshards) - 1) / ntasks);
 }
 
+/// How long a working rank listens for thieves (and ledger peers) between
+/// tasks. Must be strictly positive so the receive actually blocks (and,
+/// on the sim backend, yields to lower-virtual-time ranks); small enough
+/// to vanish next to any real task cost.
+inline constexpr double kServeWindow = 1e-9;
+
+/// Deterministic per-rank victim-selection generator: independent of
+/// sibling ranks, stable across runs for a given (seed, epoch, rank).
+inline Rng steal_rng(const StealConfig& cfg, std::uint32_t epoch, int rank) {
+  return Rng(mix64(cfg.seed ^ (static_cast<std::uint64_t>(epoch) << 24) ^
+                   static_cast<std::uint64_t>(rank)));
+}
+
+/// Victim side: give away up to half the deque (never more than the
+/// thief asked for or the configured batch), from the back — the owner
+/// keeps popping the front.
+inline std::vector<std::uint64_t> give_tasks(std::deque<std::uint64_t>& dq,
+                                             std::uint32_t want, int batch) {
+  const std::size_t cap = std::min<std::size_t>(
+      {(dq.size() + 1) / 2, want, static_cast<std::size_t>(batch)});
+  std::vector<std::uint64_t> tasks;
+  tasks.reserve(cap);
+  for (std::size_t i = 0; i < cap; ++i) {
+    tasks.push_back(dq.back());
+    dq.pop_back();
+  }
+  return tasks;
+}
+
 /// Deterministic jitter for retry/backoff naps: uniform in [0.5, 1.5) x
 /// `nap`, so synchronized retry storms decohere while the sim timeline
 /// stays a pure function of (seed, epoch, rank).
@@ -394,22 +414,83 @@ inline double effective_timeout(const FtConfig& ft, const TimeoutEstimator& est)
   return est.timeout(floor_s < 0.05 ? 0.05 : floor_s, 5.0);
 }
 
+/// Pending task ids bucketed by locality key (one bucket, key 0, without
+/// an affinity function), FIFO within a bucket. pop() is the grant pick of
+/// the plain locality master and of every ledger owner: keep the asking
+/// worker on its current key, else drain the largest bucket so its later
+/// requests can stay local. Buckets may hold stale ids; pop() discards
+/// every id `grantable` rejects.
+class LocalityQueue {
+ public:
+  explicit LocalityQueue(const AffinityFn* affinity) : affinity_(affinity) {}
+
+  void push(std::uint64_t t) { buckets_[key(t)].push_back(t); }
+  void clear() { buckets_.clear(); }
+
+  /// Next task for `worker`, or -1 when no bucket holds a grantable id.
+  template <typename Grantable>
+  std::int64_t pop(int worker, const Grantable& grantable) {
+    const auto known = worker_key_.find(worker);
+    if (known != worker_key_.end()) {
+      const auto it = buckets_.find(known->second);
+      if (it != buckets_.end()) {
+        const std::int64_t t = pop_bucket(it, grantable);
+        if (t >= 0) return take(worker, t);
+      }
+    }
+    while (!buckets_.empty()) {
+      auto it = buckets_.begin();
+      for (auto cand = buckets_.begin(); cand != buckets_.end(); ++cand) {
+        if (cand->second.size() > it->second.size()) it = cand;
+      }
+      const std::int64_t t = pop_bucket(it, grantable);
+      if (t >= 0) return take(worker, t);
+    }
+    return -1;
+  }
+
+ private:
+  using Buckets = std::map<std::uint64_t, std::deque<std::uint64_t>>;
+
+  std::uint64_t key(std::uint64_t t) const {
+    return affinity_ != nullptr ? (*affinity_)(t) : 0;
+  }
+
+  std::int64_t take(int worker, std::int64_t t) {
+    worker_key_[worker] = key(static_cast<std::uint64_t>(t));
+    return t;
+  }
+
+  /// Pops the first grantable id of `it`'s bucket; erases the bucket once
+  /// it is empty.
+  template <typename Grantable>
+  std::int64_t pop_bucket(Buckets::iterator it, const Grantable& grantable) {
+    std::int64_t found = -1;
+    while (found < 0 && !it->second.empty()) {
+      const std::uint64_t t = it->second.front();
+      it->second.pop_front();
+      if (grantable(t)) found = static_cast<std::int64_t>(t);
+    }
+    if (it->second.empty()) buckets_.erase(it);
+    return found;
+  }
+
+  const AffinityFn* affinity_;
+  Buckets buckets_;
+  std::map<int, std::uint64_t> worker_key_;  ///< last key granted to each worker
+};
+
 /// Degenerate single-rank map: run every task locally in order.
 void run_all_local(MapContext& ctx);
 
-/// The exactly-once ledger of the fault-tolerant master-worker policy, on
-/// rank 0 (plain-FIFO or locality order via ctx.affinity). Every request
-/// reports at most one completion and asks for the next task.
-void run_ledger_master(MapContext& ctx);
-
-/// Fault-tolerant worker of the master-worker policy.
-void run_ft_worker(MapContext& ctx);
-
-/// The sharded-ledger steal policy: every rank is simultaneously a
-/// worker (deque + stealing) and — for ranks < shard_count — the
-/// exactly-once ledger of its task range, with deterministic successor
-/// failover when an owner dies. Collective over ctx.comm.
-void run_sharded_steal(MapContext& ctx, std::uint32_t epoch);
+/// The exactly-once ledger (sharded.cpp), collective over ctx.comm, in
+/// one of two shapes:
+/// - steal: shard_count shards, shard s owned by rank s; every rank is
+///   also a worker with a seeded deque that steals when drained;
+/// - master: one shard owned by rank 0, which grants and commits but runs
+///   tasks only in the endgame; no deques, no steal sweeps.
+/// A dead owner's shards pass to a deterministic successor in both.
+void run_ledger(MapContext& ctx, std::uint32_t epoch, bool master_shape);
 
 /// Strategy factories (one per translation unit).
 std::unique_ptr<Scheduler> make_master_scheduler(bool force_ft);

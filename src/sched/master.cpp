@@ -1,10 +1,9 @@
 // The master-worker strategy (Sandia mapstyle 2): rank 0 grants task ids
 // to idle workers, optionally preferring locality-key affinity. The
-// fault-tolerant variant lives in master_ft.cpp; this file holds the
-// plain protocol and the strategy object that picks between them.
+// fault-tolerant variant is the exactly-once ledger's master shape
+// (sharded.cpp); this file holds the plain protocol and the strategy
+// object that picks between them.
 #include <algorithm>
-#include <deque>
-#include <map>
 #include <set>
 
 #include "common/error.hpp"
@@ -65,7 +64,6 @@ void run_plain_master(MapContext& ctx) {
 void run_locality_master(MapContext& ctx) {
   mpi::Comm& comm = ctx.comm;
   trace::Recorder* rec = ctx.rec;
-  const AffinityFn& affinity = *ctx.affinity;
   // Pending tasks grouped by locality key; within a key, FIFO by task id.
   // Tasks restored from a checkpoint are already accounted for on their
   // owners and never enter the queue.
@@ -73,15 +71,14 @@ void run_locality_master(MapContext& ctx) {
   if (ctx.restored != nullptr) {
     for (const DoneTask& d : *ctx.restored) ckpt_done.insert(d.task);
   }
-  std::map<std::uint64_t, std::deque<std::uint64_t>> pending;
+  LocalityQueue pending(ctx.affinity);
   std::uint64_t remaining = 0;
   for (std::uint64_t t = 0; t < ctx.ntasks; ++t) {
     if (ckpt_done.count(t) != 0) continue;
-    pending[affinity(t)].push_back(t);
+    pending.push(t);
     ++remaining;
   }
 
-  std::map<int, std::uint64_t> worker_key;  ///< last key each worker ran
   const int workers = comm.size() - 1;
   int stopped = 0;
   while (stopped < workers) {
@@ -96,34 +93,10 @@ void run_locality_master(MapContext& ctx) {
       }
       continue;
     }
-    // Prefer the worker's current key; otherwise hand it the key with the
-    // most remaining tasks so future requests can stay local to it.
-    auto it = pending.end();
-    const auto known = worker_key.find(src);
-    if (known != worker_key.end()) {
-      it = pending.find(known->second);
-      if (it != pending.end() && it->second.empty()) it = pending.end();
-    }
-    if (it == pending.end()) {
-      std::size_t best = 0;
-      for (auto cand = pending.begin(); cand != pending.end(); ++cand) {
-        if (cand->second.size() > best) {
-          best = cand->second.size();
-          it = cand;
-        }
-      }
-    }
-    MRBIO_CHECK(it != pending.end() && !it->second.empty(),
-                "locality scheduler lost tasks: worker ", src, " asked with key ",
-                known != worker_key.end() ? static_cast<std::int64_t>(known->second)
-                                          : std::int64_t{-1},
-                ", ", remaining, " tasks still pending across ", pending.size(),
-                " keys but no bucket is drainable");
-    const std::uint64_t task = it->second.front();
-    it->second.pop_front();
-    if (it->second.empty()) pending.erase(it);
-    worker_key[src] = affinity(task);
-    comm.send_value<std::int64_t>(src, kTagTask, static_cast<std::int64_t>(task));
+    const std::int64_t task = pending.pop(src, [](std::uint64_t) { return true; });
+    MRBIO_CHECK(task >= 0, "locality scheduler lost tasks: worker ", src, " asked with ",
+                remaining, " tasks still pending but no bucket is drainable");
+    comm.send_value<std::int64_t>(src, kTagTask, task);
     --remaining;
     if (rec != nullptr) {
       rec->add(comm.rank(), trace::Category::Phase, "mw_service", t0, comm.now());
@@ -158,21 +131,15 @@ class MasterScheduler final : public Scheduler {
       run_all_local(ctx);
       return;
     }
-    const bool ft = force_ft_ || ctx.ft.enabled;
-    if (ctx.comm.rank() == 0) {
-      if (ft) {
-        run_ledger_master(ctx);
-      } else if (ctx.affinity != nullptr) {
-        run_locality_master(ctx);
-      } else {
-        run_plain_master(ctx);
-      }
+    if (force_ft_ || ctx.ft.enabled) {
+      // The epoch moves in lockstep on all ranks: execute() is collective.
+      run_ledger(ctx, ++ctx.proto->epoch, /*master_shape=*/true);
+    } else if (ctx.comm.rank() != 0) {
+      run_plain_worker(ctx);
+    } else if (ctx.affinity != nullptr) {
+      run_locality_master(ctx);
     } else {
-      if (ft) {
-        run_ft_worker(ctx);
-      } else {
-        run_plain_worker(ctx);
-      }
+      run_plain_master(ctx);
     }
   }
 

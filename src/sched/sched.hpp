@@ -11,8 +11,9 @@
 // checkpoint-shaped through the Executor callback: schedulers decide
 // *which rank runs which task when*; the executor decides what running,
 // staging and committing a task means. The exactly-once guarantees of the
-// fault-tolerant paths are therefore scheduler-independent: steals are
-// claims, commits still go through the ledger on rank 0.
+// fault-tolerant paths are therefore scheduler-independent: master-ft and
+// steal-ft run one sharded commit ledger (sharded.cpp) in two shapes, and
+// steals are claims that still commit through it.
 #pragma once
 
 #include <cstddef>
@@ -60,11 +61,11 @@ const char* policy_name(Policy policy);
 /// When enabled, scheduling runs through a failure-aware protocol: every
 /// grant carries a sequence number and a commit decision, workers buffer
 /// each task's emissions in a staging store that is absorbed only after
-/// rank 0 commits the task (the exactly-once work ledger), lost protocol
-/// messages are resent, tasks owned by crashed or timed-out workers are
-/// reassigned with exponential backoff, and a task that exhausts its
-/// retry budget is recorded as failed instead of wedging the run
-/// (graceful degradation to partial results).
+/// the task's ledger shard commits it (the exactly-once work ledger),
+/// lost protocol messages are resent, tasks owned by crashed or timed-out
+/// workers are reassigned with exponential backoff, and a task that
+/// exhausts its retry budget is recorded as failed instead of wedging the
+/// run (graceful degradation to partial results).
 ///
 /// Timeouts are in the backend's time base: virtual seconds on the DES,
 /// wall-clock seconds on the native backend.
@@ -82,12 +83,9 @@ struct FtConfig {
   int max_retries = 3;
   /// Worker-side poll interval: retry-later naps and request resends.
   double worker_poll = 0.05;
-  /// Consecutive unanswered request resends before a worker gives up and
-  /// fails the run (the master is gone for good).
-  int max_resends = 20;
-  /// Sharded steal-ft ledger: how many ranks own a slice of the commit
-  /// ledger. 0 = every rank owns its seeded task range (fully
-  /// decentralized); 1 reproduces the single-coordinator shape.
+  /// Steal-ft only: how many ranks own a slice of the commit ledger.
+  /// 0 = every rank owns its seeded task range (fully decentralized).
+  /// Master-ft pins it to 1: one shard, owned by rank 0.
   int ledger_ranks = 0;
   /// Optional phi-accrual failure detection piggybacked on protocol
   /// traffic; drives early worker eviction and shard failover. Defaults
@@ -181,43 +179,31 @@ class Executor {
   }
 };
 
-/// Master-side view of one worker in the fault-tolerant protocol.
-struct FtWorkerView {
-  std::uint32_t incarnation = 0;
+/// Replay state of one request channel (a ledger client at its shard
+/// owner, a thief at its victim): a resent request (same seq) is answered
+/// with the cached reply, so a lost reply never loses the commit decision
+/// or the tasks it carried.
+struct ReplayCache {
   std::uint32_t last_seq = 0;  ///< newest request seq answered (0 = none)
-  std::vector<std::byte> cached_grant;  ///< replay buffer for last_seq
-  bool stopped = false;  ///< told to leave; may return with a new incarnation
-  bool dead = false;     ///< announced a permanent crash
-};
-
-/// Victim-side replay state for one thief (fault-tolerant steal): a
-/// resent steal request is answered with the cached response so a lost
-/// response never loses the tasks it carried.
-struct StealPeerView {
-  std::uint32_t last_seq = 0;
-  std::vector<std::byte> cached_resp;
+  std::vector<std::byte> reply;
 };
 
 /// Protocol state that must outlive a single map() call. Sequence numbers
 /// are monotone for the life of the host object so a delayed message from
 /// map N can never alias a fresh exchange in map N+1; the epoch stamps
-/// every steal-layer message so stragglers from an earlier map are
-/// recognized and dropped.
+/// every ledger and steal message so stragglers from an earlier map are
+/// recognized and dropped. Client sequence numbers and the replay caches
+/// model supervisor-restored transport state; death knowledge and shard
+/// adoption must survive across maps so a rank that died in map N stays
+/// dead — and its shard stays with the successor — in map N+1.
 struct ProtocolState {
-  std::vector<FtWorkerView> workers;  ///< rank 0: per-worker ledger transport
-  std::uint32_t seq = 0;              ///< worker: last ledger request seq sent
-  std::uint32_t incarnation = 0;      ///< worker: respawn count
-  std::uint32_t steal_seq = 0;        ///< thief: last steal request seq sent
-  std::uint32_t epoch = 0;            ///< map phases started on this rank
-  std::map<int, StealPeerView> steal_peers;  ///< victim: replay cache per thief
-
-  // Sharded steal-ft ledger state. Client sequence numbers and the shard
-  // owners' replay caches model supervisor-restored transport state (like
-  // steal_peers); death knowledge and shard adoption must survive across
-  // maps so a rank that died in map N stays dead — and its shard stays
-  // with the successor — in map N+1.
+  std::uint32_t incarnation = 0;  ///< this rank's respawn count
+  std::uint32_t steal_seq = 0;    ///< thief: last steal request seq sent
+  std::uint32_t epoch = 0;        ///< ledger and steal maps started on this rank
+  std::map<int, ReplayCache> steal_peers;    ///< victim: replay cache per thief
   std::map<int, std::uint32_t> owner_seq;    ///< client: last req seq per owner
-  std::map<int, FtWorkerView> shard_clients; ///< owner: replay cache per client
+  std::map<int, ReplayCache> shard_clients;  ///< owner: replay cache per client
+  std::map<int, std::uint32_t> client_inc;   ///< owner: newest incarnation per client
   std::vector<std::uint8_t> peers_dead;      ///< acked permanent deaths, by rank
 };
 
@@ -228,8 +214,8 @@ using AffinityFn = std::function<std::uint64_t(std::uint64_t itask)>;
 struct MapContext {
   mpi::Comm& comm;
   std::uint64_t ntasks = 0;
-  /// Optional locality function; honoured by the master policies, ignored
-  /// by static partitions and steal.
+  /// Optional locality function; honoured by the master policies and by
+  /// every ledger grant, ignored by static partitions and steal deques.
   const AffinityFn* affinity = nullptr;
   FtConfig ft;
   StealConfig steal;
@@ -241,7 +227,7 @@ struct MapContext {
   /// ran the shared replay; never hand these out again).
   const std::vector<DoneTask>* restored = nullptr;
   SchedStats* stats = nullptr;
-  /// Rank 0, fault-tolerant paths: tasks that exhausted their retries.
+  /// Ledger owners: tasks of their shards that exhausted their retries.
   std::vector<std::uint64_t>* failed = nullptr;
 };
 
@@ -257,9 +243,9 @@ class Scheduler {
 
 /// Creates the strategy for `policy`. `policy` must be concrete
 /// (not Auto — the host resolves Auto against its MapStyle first).
-/// Master upgrades itself to the fault-tolerant protocol when
-/// ctx.ft.enabled; MasterFt forces it regardless; Steal picks the token
-/// variant or the ledger-backed variant from ctx.ft.enabled.
+/// Master runs the ledger's master shape when ctx.ft.enabled, and MasterFt
+/// always; Steal runs the token variant, or the ledger's steal shape when
+/// ctx.ft.enabled.
 std::unique_ptr<Scheduler> make_scheduler(Policy policy);
 
 /// True for policies that schedule remotely (and therefore need the
@@ -279,11 +265,21 @@ constexpr bool is_remote(Policy policy) {
 /// policies, whose map exchanges no scheduling messages.
 bool requires_ft(const fault::FaultPlan& plan, Policy policy);
 
-/// Resolved shard count of the sharded steal-ft ledger: ft.ledger_ranks
-/// clamped to [1, nranks], with the 0 default meaning "one shard per
-/// rank". Public because the host's resume merge enumerates the shard
-/// journals with it.
-inline int shard_count(const FtConfig& ft, int nranks) {
+/// True when a map under `policy` (concrete) on `nranks` ranks runs the
+/// exactly-once ledger: master-ft always, master and steal with
+/// ft.enabled. Such a map commits through shard journals, which the
+/// host's kill->resume merge reads.
+constexpr bool runs_ledger(Policy policy, const FtConfig& ft, int nranks) {
+  return nranks > 1 && (policy == Policy::MasterFt ||
+                        (ft.enabled && (policy == Policy::Master || policy == Policy::Steal)));
+}
+
+/// Resolved shard count of a ledger map: 1 under the master policies;
+/// under steal ft.ledger_ranks clamped to [1, nranks], with the 0 default
+/// meaning "one shard per rank". Public because the host's resume merge
+/// enumerates the shard journals with it.
+constexpr int shard_count(Policy policy, const FtConfig& ft, int nranks) {
+  if (policy != Policy::Steal) return 1;
   const int l = ft.ledger_ranks <= 0 ? nranks : ft.ledger_ranks;
   return l < 1 ? 1 : (l > nranks ? nranks : l);
 }

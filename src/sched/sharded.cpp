@@ -1,20 +1,24 @@
-// Sharded exactly-once ledger for the fault-tolerant steal policy.
+// The exactly-once ledger of the fault-tolerant schedulers (master-ft and
+// steal-ft), in two shapes over one protocol.
 //
-// Instead of funnelling every claim and commit through rank 0, the task
-// range [0, ntasks) is chunk-partitioned into shard_count(ft, P) ledger
-// shards and shard s is owned by rank s — every rank is simultaneously a
-// worker (deque + stealing, as in steal.cpp) and, for the shards it owns,
-// the exactly-once commit authority of its own task range. Commits and
-// grant requests go to the owning shard, so the rank-0 protocol wall of
-// the single-master ledger disappears and — more importantly — rank 0
-// stops being a single point of failure.
+// The task range [0, ntasks) is chunk-partitioned into ledger shards and
+// shard s is owned by rank s: the exactly-once commit authority of its
+// task range. Commits and grant requests go to the owning shard.
+// - Steal shape: shard_count(Steal, ft, P) shards, and every rank is also
+//   a worker with a seeded deque that steals when drained (as in
+//   steal.cpp), so no rank-0 protocol wall exists.
+// - Master shape: one shard owned by rank 0, which grants and commits —
+//   keeping each worker on its locality key when ctx.affinity is set —
+//   but runs tasks only in the endgame. Workers have no deques; each
+//   request reports the finished task and asks for the next one.
+// Either way rank 0 is not a single point of failure.
 //
 // Ownership is a pure function of the acked death set: the owner of shard
 // s is the first non-dead rank on the ring s, s+1, ..., so every rank
 // that knows the same deaths derives the same owner and no adoption map
 // has to be replicated. A dying rank (the fault injector crashes the
 // protocol, not the thread, so a dead rank lingers as a *ghost* able to
-// send and receive) broadcasts an Obit to the owner set, hands each of
+// send and receive) broadcasts an Obit to every live rank, hands each of
 // its shards to the deterministic successor — by ShardImage when no
 // durable journal exists, implicitly via the on-disk journal otherwise —
 // and retransmits until every successor acked. Because the transport
@@ -84,29 +88,10 @@ void apply_shard_record(std::span<const std::byte> payload,
 
 namespace {
 
-constexpr double kServeWindow = 1e-9;  ///< see steal.cpp
 /// Unanswered resend rounds on one channel before probing a neighbor for
 /// the target's liveness (cheap: a false probe costs one round trip).
 constexpr int kProbeEvery = 4;
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-Rng make_rng(const StealConfig& cfg, std::uint32_t epoch, int rank) {
-  return Rng(mix64(cfg.seed ^ (static_cast<std::uint64_t>(epoch) << 24) ^
-                   static_cast<std::uint64_t>(rank)));
-}
-
-std::vector<std::uint64_t> give_tasks(std::deque<std::uint64_t>& dq,
-                                      std::uint32_t want, int batch) {
-  const std::size_t cap = std::min<std::size_t>(
-      {(dq.size() + 1) / 2, want, static_cast<std::size_t>(batch)});
-  std::vector<std::uint64_t> tasks;
-  tasks.reserve(cap);
-  for (std::size_t i = 0; i < cap; ++i) {
-    tasks.push_back(dq.back());
-    dq.pop_back();
-  }
-  return tasks;
-}
 
 enum class TState : std::uint8_t { Pending, Outstanding, Done, Failed };
 
@@ -128,7 +113,7 @@ struct Shard {
   int id = -1;
   std::uint64_t lo = 0, hi = 0;
   std::vector<SEntry> entries;
-  std::deque<std::uint64_t> free_q;  ///< grant candidates (lazily invalidated)
+  LocalityQueue free_q{nullptr};  ///< grant candidates (lazily invalidated)
   std::uint64_t nfree = 0, nclaimed = 0, nout = 0, ndone = 0, nfail = 0;
   /// Adopted without a durable journal: granting and commit decisions are
   /// deferred until the dying owner's ShardImage arrives.
@@ -139,7 +124,7 @@ struct Shard {
   bool settled() const { return ndone + nfail == size(); }
 };
 
-/// One map phase of the sharded steal-ft protocol on one rank.
+/// One map phase of the ledger protocol on one rank.
 struct ShardedRun {
   MapContext& ctx;
   mpi::Comm& comm;
@@ -150,6 +135,7 @@ struct ShardedRun {
   ProtocolState& ps;
   fault::Injector* inj;
   const std::uint32_t epoch;
+  const bool master;  ///< master shape: see the file comment
   const int me, p, nshards;
   const std::uint64_t ntasks;
   Rng rng;
@@ -160,7 +146,6 @@ struct ShardedRun {
 
   std::deque<std::uint64_t> dq;
   std::int64_t staged = -1;
-  std::uint32_t staged_attempt = 0;
   /// Tasks this incarnation has already committed. A task can be handed
   /// to the same rank twice (a stale steal response absorbed after a
   /// ledger re-grant of the same range): the duplicate is re-reported
@@ -179,7 +164,7 @@ struct ShardedRun {
   std::set<int> pending_exit_acks;  ///< exits to ack once worker_done
   std::vector<std::pair<int, std::int32_t>> pending_obit_acks;  ///< (src, dead)
 
-  ShardedRun(MapContext& c, std::uint32_t ep)
+  ShardedRun(MapContext& c, std::uint32_t ep, bool master_shape)
       : ctx(c),
         comm(c.comm),
         reg(c.comm.metrics()),
@@ -189,11 +174,12 @@ struct ShardedRun {
         ps(*c.proto),
         inj(c.comm.runtime().faults()),
         epoch(ep),
+        master(master_shape),
         me(c.comm.rank()),
         p(c.comm.size()),
-        nshards(shard_count(c.ft, c.comm.size())),
+        nshards(shard_count(master_shape ? Policy::Master : Policy::Steal, c.ft, p)),
         ntasks(c.ntasks),
-        rng(make_rng(c.steal, ep, c.comm.rank())),
+        rng(steal_rng(c.steal, ep, c.comm.rank())),
         det(c.ft.heartbeat) {}
 
   bool alive(int r) const { return ps.peers_dead[r] == 0; }
@@ -227,6 +213,26 @@ struct ShardedRun {
 
   void poll_crash() {
     if (polling && !i_died && inj != nullptr) inj->maybe_crash(me, comm.now());
+  }
+
+  /// The master shape's ledger owner: rank 0, or the successor that
+  /// adopted its shard.
+  bool grantor() const { return master && !shards.empty(); }
+
+  /// Counts each death once: in the steal shape the dying rank counts
+  /// itself (many owners learn of it); in the master shape the ledger
+  /// owner counts every death it observes, its own included.
+  void count_death() {
+    ++sstats.worker_deaths;
+    if (reg != nullptr) reg->counter("ft.worker_deaths").inc();
+  }
+
+  /// True once every other rank left the map or died: no asker remains.
+  bool others_gone() const {
+    for (int r = 0; r < p; ++r) {
+      if (r != me && alive(r) && exited.count(r) == 0) return false;
+    }
+    return true;
   }
 
   // -- Shard journal ---------------------------------------------------------
@@ -300,7 +306,7 @@ struct ShardedRun {
           e.claimed = false;
           --sh.nclaimed;
           ++sh.nfree;
-          sh.free_q.push_back(t);
+          sh.free_q.push(t);
         }
       }
     }
@@ -335,7 +341,7 @@ struct ShardedRun {
         e.owner = -1;
         e.claimed = false;
         ++sh.nfree;
-        sh.free_q.push_back(t);
+        sh.free_q.push(t);
       }
     }
   }
@@ -352,7 +358,7 @@ struct ShardedRun {
       e.owner = -1;
       e.claimed = false;
       ++sh.nfree;
-      sh.free_q.push_back(t);
+      sh.free_q.push(t);
       ++sstats.tasks_retried;
       if (reg != nullptr) reg->counter("ft.tasks_retried").inc();
     }
@@ -417,10 +423,6 @@ struct ShardedRun {
       }
       evict_suspects();
     }
-    if (worker_done && !pending_exit_acks.empty()) {
-      for (const int r : pending_exit_acks) send_exit_ack(r, 1);
-      pending_exit_acks.clear();
-    }
     if (!pending_obit_acks.empty() && !any_awaiting()) {
       for (const auto& [src, dead] : pending_obit_acks) send_obit_ack(src, dead);
       pending_obit_acks.clear();
@@ -481,11 +483,13 @@ struct ShardedRun {
     if (!wants) return g;
     for (auto& [sid, sh] : shards) {
       if (sh.awaiting_image) continue;
-      while (!sh.free_q.empty()) {
-        const std::uint64_t t = sh.free_q.front();
-        sh.free_q.pop_front();
+      const std::int64_t picked = sh.free_q.pop(src, [&sh](std::uint64_t t) {
+        const SEntry& e = sh.at(t);
+        return e.state == TState::Pending && !e.claimed;  // else stale
+      });
+      if (picked >= 0) {
+        const std::uint64_t t = static_cast<std::uint64_t>(picked);
         SEntry& e = sh.at(t);
-        if (e.state != TState::Pending || e.claimed) continue;  // stale
         e.state = TState::Outstanding;
         e.owner = src;
         e.owner_inc = inc;
@@ -495,7 +499,7 @@ struct ShardedRun {
         --sh.nfree;
         ++sh.nout;
         expiry.emplace(e.deadline, std::make_pair(sh.id, t));
-        g.assign = static_cast<std::int64_t>(t);
+        g.assign = picked;
         g.attempt = e.attempt;
         return g;
       }
@@ -510,17 +514,23 @@ struct ShardedRun {
 
   // -- Failover --------------------------------------------------------------
 
+  Shard make_shard(int s) const {
+    Shard sh;
+    sh.id = s;
+    sh.lo = chunk_lo(ntasks, s, nshards);
+    sh.hi = chunk_hi(ntasks, s, nshards);
+    sh.entries.resize(sh.size());
+    sh.free_q = LocalityQueue(ctx.affinity);
+    return sh;
+  }
+
   void adopt(int s) {
     ++sstats.failovers;
     if (reg != nullptr) reg->counter("ft.failovers").inc();
     if (rec != nullptr) {
       rec->add(me, trace::Category::Fault, "shard_adopt", comm.now(), comm.now());
     }
-    Shard sh;
-    sh.id = s;
-    sh.lo = chunk_lo(ntasks, s, nshards);
-    sh.hi = chunk_hi(ntasks, s, nshards);
-    sh.entries.resize(sh.size());
+    Shard sh = make_shard(s);
     if (journaling()) {
       std::map<std::uint64_t, DoneTask> commits;
       ctx.exec->shard_journal_replay(s, [&](const std::vector<std::byte>& rec_bytes) {
@@ -556,7 +566,7 @@ struct ShardedRun {
     for (std::uint64_t t = sh.lo; t < sh.hi; ++t) {
       if (sh.at(t).state == TState::Pending) {
         ++sh.nfree;
-        sh.free_q.push_back(t);
+        sh.free_q.push(t);
       }
     }
   }
@@ -566,6 +576,7 @@ struct ShardedRun {
     ps.peers_dead[r] = 1;
     det.forget(r);
     if (i_died) return;  // a ghost records the fact but adopts nothing
+    if (grantor()) count_death();
     revert_by(r, std::numeric_limits<std::uint32_t>::max());
     unclaim_all();
     for (int s = 0; s < nshards; ++s) {
@@ -623,32 +634,41 @@ struct ShardedRun {
       comm.send_bytes(src, kTagTask, pack_grant(g));
       return;
     }
-    FtWorkerView& w = ps.shard_clients[src];
+    ReplayCache& w = ps.shard_clients[src];
     if (req.seq == w.last_seq) {  // resend: replay the cached decision
-      comm.send_bytes(src, kTagTask, w.cached_grant);
+      comm.send_bytes(src, kTagTask, w.reply);
       return;
     }
     if (req.seq < w.last_seq) return;  // ancient duplicate
-    if (req.incarnation > w.incarnation) {
+    const double t0 = comm.now();
+    if (std::uint32_t& inc = ps.client_inc[src]; req.incarnation > inc) {
       // The client respawned: everything its old incarnations held —
       // commits (results lost with its memory) and claims — is void.
-      w.incarnation = req.incarnation;
+      inc = req.incarnation;
+      if (grantor()) count_death();
       revert_by(src, req.incarnation);
       unclaim_all();
     }
     WireGrant g = decide(src, req.incarnation, req.completed_task, req.wants != 0);
     g.seq = req.seq;
     w.last_seq = req.seq;
-    w.cached_grant = pack_grant(g);
-    comm.send_bytes(src, kTagTask, w.cached_grant);
+    w.reply = pack_grant(g);
+    comm.send_bytes(src, kTagTask, w.reply);
+    if (grantor()) {
+      // Master service latency, as the plain master records it.
+      if (rec != nullptr) rec->add(me, trace::Category::Phase, "mw_service", t0, comm.now());
+      if (reg != nullptr) {
+        reg->histogram("mrmpi.master_service_seconds").observe(comm.now() - t0);
+      }
+    }
   }
 
   void serve_steal(const rt::Message& m) {
     const StealReq rq = unpack_steal_req(m);
     if (rq.epoch != epoch) return;
-    StealPeerView& peer = ps.steal_peers[m.source];
+    ReplayCache& peer = ps.steal_peers[m.source];
     if (rq.seq == peer.last_seq) {
-      comm.send_bytes(m.source, kTagStealResp, peer.cached_resp);
+      comm.send_bytes(m.source, kTagStealResp, peer.reply);
       return;
     }
     if (rq.seq < peer.last_seq) return;
@@ -657,8 +677,8 @@ struct ShardedRun {
     resp.seq = rq.seq;
     resp.tasks = give_tasks(dq, rq.max, ctx.steal.batch);
     peer.last_seq = rq.seq;
-    peer.cached_resp = pack_steal_resp(resp);
-    comm.send_bytes(m.source, kTagStealResp, peer.cached_resp);
+    peer.reply = pack_steal_resp(resp);
+    comm.send_bytes(m.source, kTagStealResp, peer.reply);
   }
 
   void handle_obit(const rt::Message& m) {
@@ -868,15 +888,15 @@ struct ShardedRun {
       est.observe(comm.now() - t0);
     }
     staged = static_cast<std::int64_t>(t);
-    staged_attempt = attempt;
   }
 
-  void report_staged() {
+  /// Reports the staged task to its shard, asking for the next task in
+  /// the same request when `wants`.
+  Decision report_staged(bool wants) {
     const std::uint64_t t = static_cast<std::uint64_t>(staged);
     WireReq rep;
     rep.completed_task = staged;
-    rep.attempt = staged_attempt;
-    rep.wants = 0;
+    rep.wants = wants ? 1 : 0;
     const Decision d = transact(rep, shard_of(t, ntasks, nshards));
     if (d.grant.commit != 0 && self_done.insert(t).second) {
       ctx.exec->commit_staged(t);
@@ -886,7 +906,24 @@ struct ShardedRun {
       ctx.exec->discard_staged();
     }
     staged = -1;
-    staged_attempt = 0;
+    return d;
+  }
+
+  /// Acts on a grant's assignment: run the task, note the owner's Stop,
+  /// or nap on RetryLater while serving duties so a thief or an obit
+  /// never waits on this rank. The nap waits on work outstanding
+  /// elsewhere (a timeout, a revert), so the report prices it as
+  /// recovery_wait.
+  void follow(const Decision& d, std::set<int>& stopped_by) {
+    if (d.grant.assign >= 0) {
+      run_one(static_cast<std::uint64_t>(d.grant.assign), d.grant.attempt);
+    } else if (d.grant.assign == kAssignStop) {
+      stopped_by.insert(d.responder);
+    } else {
+      const double t0 = comm.now();
+      (void)serve_until(comm.now() + jittered(ft.worker_poll, rng), -1, -1, nullptr);
+      if (rec != nullptr) rec->add(me, trace::Category::Fault, "retry_wait", t0, comm.now());
+    }
   }
 
   void steal_sweep() {
@@ -955,11 +992,7 @@ struct ShardedRun {
     }
     for (int s = 0; s < nshards; ++s) {
       if (owner_of(s) != me) continue;
-      Shard sh;
-      sh.id = s;
-      sh.lo = chunk_lo(ntasks, s, nshards);
-      sh.hi = chunk_hi(ntasks, s, nshards);
-      sh.entries.resize(sh.size());
+      Shard sh = make_shard(s);
       for (std::uint64_t t = sh.lo; t < sh.hi; ++t) {
         const auto it = restored.find(t);
         if (it != restored.end()) {
@@ -992,18 +1025,18 @@ struct ShardedRun {
           }
         }
       }
-      // Claim the chunk slice of every live rank (their seeded deques);
-      // a dead rank's slice starts out grantable.
+      // Steal shape: claim the chunk slice of every live rank (their
+      // seeded deques); a dead rank's slice starts out grantable. Master
+      // shape: no deques, everything starts out grantable.
       for (std::uint64_t t = sh.lo; t < sh.hi; ++t) {
         SEntry& e = sh.at(t);
         if (e.state != TState::Pending) continue;
-        const int chunk_rank = shard_of(t, ntasks, p);
-        if (alive(chunk_rank)) {
+        if (!master && alive(shard_of(t, ntasks, p))) {
           e.claimed = true;
           ++sh.nclaimed;
         } else {
           ++sh.nfree;
-          sh.free_q.push_back(t);
+          sh.free_q.push(t);
         }
       }
       shards.emplace(s, std::move(sh));
@@ -1027,11 +1060,9 @@ struct ShardedRun {
     ctx.exec->on_crash();
     dq.clear();
     staged = -1;
-    staged_attempt = 0;
     self_done.clear();  // the emissions died with the old incarnation
     ++ps.incarnation;
-    ++sstats.worker_deaths;
-    if (reg != nullptr) reg->counter("ft.worker_deaths").inc();
+    if (!master || grantor()) count_death();
     stopped_by.clear();
     i_died = inj != nullptr && inj->permanently_crashed(me);
     if (rec != nullptr) {
@@ -1056,8 +1087,17 @@ struct ShardedRun {
     ob.epoch = epoch;
     ob.dead_rank = me;
     ob.incarnation = ps.incarnation;
+    // Tell the other clients once, so none keeps waiting on this rank
+    // until a probe; only owners must ack (a client may have left the map).
+    std::vector<int> targets = owner_ranks();  // me excluded: I'm dead
+    ob.dead_set = dead_list();
+    for (int r = 0; r < p; ++r) {
+      if (alive(r) && std::find(targets.begin(), targets.end(), r) == targets.end()) {
+        comm.send_bytes(r, kTagObit, pack_obit(ob));
+      }
+    }
     while (true) {
-      std::vector<int> targets = owner_ranks();  // me excluded: I'm dead
+      targets = owner_ranks();
       bool done = true;
       ob.dead_set = dead_list();
       ob.exited_set.assign(exited.begin(), exited.end());
@@ -1086,7 +1126,8 @@ struct ShardedRun {
     shards.clear();
   }
 
-  /// Worker role: run own claims, report, steal, then ask the owners.
+  /// Worker role: run own claims, report, steal, then ask the owners (a
+  /// master-shape ledger owner grants instead, see run_grantor).
   /// Returns false when this rank died permanently.
   bool run_worker() {
     std::set<int> stopped_by;
@@ -1110,11 +1151,18 @@ struct ShardedRun {
           continue;  // report before the next task runs
         }
         if (staged >= 0) {
-          report_staged();
+          // A master-shape worker asks for its next task in the report; a
+          // ledger owner does not, as it stops working and grants.
+          const bool ask = master && !grantor();
+          const Decision d = report_staged(ask);
+          if (ask) follow(d, stopped_by);
           continue;
         }
-        steal_sweep();
-        if (!dq.empty()) continue;
+        if (grantor()) return run_grantor();  // stops working and grants
+        if (!master) {
+          steal_sweep();
+          if (!dq.empty()) continue;
+        }
         // Drained and nothing stealable: ask the shard owners round-robin.
         const std::vector<int> owners = owner_ranks();
         int target = -1;
@@ -1138,19 +1186,7 @@ struct ShardedRun {
         WireReq ask;
         ask.completed_task = -1;
         ask.wants = 1;
-        const Decision d = transact(ask, tshard);
-        if (d.grant.assign >= 0) {
-          run_one(static_cast<std::uint64_t>(d.grant.assign), d.grant.attempt);
-          continue;
-        }
-        if (d.grant.assign == kAssignStop) {
-          stopped_by.insert(d.responder);
-          continue;
-        }
-        // RetryLater: claimed or outstanding work elsewhere; nap but keep
-        // serving duties so a thief or an obit never waits on us.
-        (void)serve_until(comm.now() + jittered(ft.worker_poll, rng), -1, -1,
-                          nullptr);
+        follow(transact(ask, tshard), stopped_by);
       } catch (const fault::CrashSignal&) {
         on_signal(stopped_by);
         if (i_died) {
@@ -1159,6 +1195,26 @@ struct ShardedRun {
         }
       }
     }
+  }
+
+  /// Master shape, ledger owner: grant and commit until every task
+  /// settled or no asker is left, polling for this rank's own planned
+  /// crash. Returns false when this rank died permanently.
+  bool run_grantor() {
+    while (!all_settled() && !others_gone()) {
+      try {
+        poll_crash();
+        (void)serve_until(comm.now() + jittered(ft.worker_poll, rng), -1, -1, nullptr);
+      } catch (const fault::CrashSignal&) {
+        std::set<int> none;
+        on_signal(none);
+        if (i_died) {
+          die();
+          return false;
+        }
+      }
+    }
+    return true;
   }
 
   /// One last chance for the planned faults, then this rank promises the
@@ -1184,6 +1240,9 @@ struct ShardedRun {
   void announce_exit() {
     worker_done = true;
     exited.insert(me);
+    // This rank can no longer die: ack the exits deferred until now.
+    for (const int r : pending_exit_acks) send_exit_ack(r, 1);
+    pending_exit_acks.clear();
     int rounds = 0;
     int walk = 0;
     while (true) {
@@ -1252,14 +1311,7 @@ struct ShardedRun {
   /// every other rank exited or died.
   void run_owner() {
     while (!shards.empty()) {
-      bool all_gone = true;
-      for (int r = 0; r < p; ++r) {
-        if (r != me && alive(r) && exited.count(r) == 0) {
-          all_gone = false;
-          break;
-        }
-      }
-      if (all_gone && !any_awaiting()) {
+      if (others_gone() && !any_awaiting()) {
         if (!all_settled()) endgame();
         if (all_settled()) break;
       }
@@ -1288,7 +1340,7 @@ struct ShardedRun {
       die();
       return;
     }
-    seed_deque();
+    if (!master) seed_deque();
     while (true) {
       if (!run_worker()) return;  // permanent death, handoff complete
       if (final_poll()) break;    // the point of no return: never dies now
@@ -1303,8 +1355,8 @@ struct ShardedRun {
 
 }  // namespace
 
-void run_sharded_steal(MapContext& ctx, std::uint32_t epoch) {
-  ShardedRun run(ctx, epoch);
+void run_ledger(MapContext& ctx, std::uint32_t epoch, bool master_shape) {
+  ShardedRun run(ctx, epoch, master_shape);
   run.run();
 }
 

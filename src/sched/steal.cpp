@@ -20,13 +20,12 @@
 // the probe. Every steal-layer message carries the map epoch, so a
 // straggler from map N is recognized and dropped in map N+1.
 //
-// Fault-tolerant variant: the exactly-once commit ledger is sharded by
-// task range across the ranks (sharded.cpp) — every rank runs its deque
-// AND owns the ledger slice of its seeded range, with deterministic
-// successor failover when an owner (including rank 0) dies. Deque and
-// stolen tasks are *claims*: they stay Pending in their shard until the
-// completion report commits them, and first-commit-wins deduplicates any
-// grant/claim overlap.
+// Fault-tolerant variant: the exactly-once ledger's steal shape
+// (sharded.cpp) — every rank runs its deque AND owns the ledger slice of
+// its seeded range, with deterministic successor failover when an owner
+// (including rank 0) dies. Deque and stolen tasks are *claims*: they stay
+// Pending in their shard until the completion report commits them, and
+// first-commit-wins deduplicates any grant/claim overlap.
 #include <algorithm>
 #include <deque>
 #include <set>
@@ -40,35 +39,6 @@
 namespace mrbio::sched {
 
 namespace {
-
-/// How long a working rank listens for thieves between tasks. Must be
-/// strictly positive so the receive actually blocks (and, on the sim
-/// backend, yields to lower-virtual-time ranks); small enough to vanish
-/// next to any real task cost.
-constexpr double kServeWindow = 1e-9;
-
-/// Deterministic per-rank victim-selection generator: independent of
-/// sibling ranks, stable across runs for a given (seed, epoch, rank).
-Rng make_steal_rng(const StealConfig& cfg, std::uint32_t epoch, int rank) {
-  return Rng(mix64(cfg.seed ^ (static_cast<std::uint64_t>(epoch) << 24) ^
-                   static_cast<std::uint64_t>(rank)));
-}
-
-/// Victim side: give away up to half the deque (never more than the
-/// thief asked for or the configured batch), from the back — the owner
-/// keeps popping the front.
-std::vector<std::uint64_t> give_tasks(std::deque<std::uint64_t>& dq,
-                                      std::uint32_t want, int batch) {
-  const std::size_t cap = std::min<std::size_t>(
-      {(dq.size() + 1) / 2, want, static_cast<std::size_t>(batch)});
-  std::vector<std::uint64_t> tasks;
-  tasks.reserve(cap);
-  for (std::size_t i = 0; i < cap; ++i) {
-    tasks.push_back(dq.back());
-    dq.pop_back();
-  }
-  return tasks;
-}
 
 // ---------------------------------------------------------------------------
 // Plain (non-fault-tolerant) steal with token termination.
@@ -94,7 +64,7 @@ void run_steal_plain(MapContext& ctx, std::uint32_t epoch) {
     }
   }
 
-  Rng rng = make_steal_rng(ctx.steal, epoch, me);
+  Rng rng = steal_rng(ctx.steal, epoch, me);
   std::int64_t counter = 0;  ///< work responses sent minus received
   bool black = false;        ///< received work since the token passed
   bool probe_out = false;    ///< rank 0: token currently circulating
@@ -298,7 +268,7 @@ class StealScheduler final : public Scheduler {
       return;
     }
     if (ctx.ft.enabled) {
-      run_sharded_steal(ctx, epoch);
+      run_ledger(ctx, epoch, /*master_shape=*/false);
     } else {
       run_steal_plain(ctx, epoch);
     }

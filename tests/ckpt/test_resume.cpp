@@ -256,6 +256,55 @@ TEST_F(ResumeTest, BlastStealSchedulerKillResumeIsByteIdentical) {
   EXPECT_LT(resumed.map_tasks, clean.map_tasks);
 }
 
+TEST_F(ResumeTest, BlastMasterFtKillResumeMergesTheShardJournal) {
+  // Master-ft commits through the ledger's single shard, owned by rank 0,
+  // whose write-ahead journal is shard.0.c<cycle>.log. Killed mid-map and
+  // resumed, the run merges that journal like steal-ft and reproduces the
+  // uninterrupted run's hits byte for byte, re-running only the tail.
+  const BlastBed bed = make_blast_bed(path("db"));
+
+  auto clean_config = blast_config(bed, path("out_clean"));
+  clean_config.scheduler = sched::Policy::MasterFt;
+  const BlastRun clean = run_blast(clean_config, nullptr);
+  ASSERT_FALSE(clean.killed);
+  ASSERT_GT(clean.map_tasks, 0u);
+
+  ckpt::CheckpointConfig cc;
+  cc.dir = path("ckpt");
+  cc.interval = 0.0;
+  fault::Injector killer(
+      fault::FaultPlan::parse("kill:t=" + std::to_string(clean.elapsed * 0.5)));
+  auto config = blast_config(bed, path("out_resumed"));
+  config.scheduler = sched::Policy::MasterFt;
+  {
+    ckpt::Checkpointer cp(cc, &killer);
+    cp.open("blast master-ft");
+    config.checkpointer = &cp;
+    const BlastRun killed = run_blast(config, &killer);
+    ASSERT_TRUE(killed.killed);
+  }
+  std::vector<std::string> shard_logs;
+  for (const auto& entry : std::filesystem::directory_iterator(path("ckpt"))) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("shard.", 0) == 0) shard_logs.push_back(name);
+  }
+  ASSERT_EQ(shard_logs.size(), 1u);
+  EXPECT_EQ(shard_logs[0].rfind("shard.0.c", 0), 0u) << shard_logs[0];
+
+  cc.resume = true;
+  ckpt::Checkpointer cp(cc, nullptr);
+  cp.open("blast master-ft");
+  ASSERT_TRUE(cp.resuming());
+  config.checkpointer = &cp;
+  const BlastRun resumed = run_blast(config, nullptr);
+  ASSERT_FALSE(resumed.killed);
+
+  expect_same_hits(path("out_clean"), path("out_resumed"));
+  EXPECT_GT(resumed.tasks_restored, 0u) << "kill fired before any task committed";
+  EXPECT_LT(resumed.map_tasks, clean.map_tasks);
+  EXPECT_EQ(resumed.map_tasks + resumed.tasks_restored, clean.map_tasks);
+}
+
 TEST_F(ResumeTest, BlastShardCorruptionDegradesOnlyThatShard) {
   // Kill a sharded-ledger steal run mid-map, then flip a byte in exactly
   // one shard's commit journal before resuming. The CRC framing must

@@ -5,11 +5,13 @@
 // is computed. Runs under TSan when the build enables MRBIO_SANITIZE.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <map>
 #include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 
 #include "common/rng.hpp"
 #include "fault/fault.hpp"
@@ -95,6 +97,63 @@ TEST(FaultEquivalence, NativeTimeTriggeredCrashCompletes) {
   // the output must stay exactly-once regardless of when the crash lands.
   const auto tasks = ft_map(Backend::Native, 4, "crash:rank=2@t=0.001");
   EXPECT_EQ(tasks.size(), 20u);
+}
+
+/// Master-ft map of 24 tasks of 10 ms each (virtual on sim, slept on
+/// native, where compute charges are free) on 4 ranks with rank-0 crashes
+/// allowed. Returns the task ids gathered on rank 0; `crashes` receives
+/// the number of crashes that fired.
+std::multiset<std::uint64_t> master_ft_map(Backend backend, const std::string& plan,
+                                          std::uint64_t* crashes) {
+  fault::Injector injector(fault::FaultPlan::parse(plan));
+  LaunchConfig lc;
+  lc.backend = backend;
+  lc.nranks = 4;
+  lc.injector = &injector;
+  lc.master_failover = true;
+  mrmpi::MapReduceConfig cfg;
+  cfg.map_style = mrmpi::MapStyle::MasterWorker;
+  cfg.ft.enabled = true;
+  std::multiset<std::uint64_t> tasks;
+  std::mutex mu;
+  launch(lc, [&](Rank& rank) {
+    mpi::Comm comm(rank);
+    mrmpi::MapReduce mr(comm, cfg);
+    mr.map(24, [&](std::uint64_t t, mrmpi::KeyValue& kv) {
+      if (backend == Backend::Native) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      } else {
+        comm.compute(0.01);
+      }
+      kv.add("task", std::to_string(t));
+    });
+    mr.gather();
+    if (comm.rank() == 0) {
+      std::lock_guard<std::mutex> lock(mu);
+      mr.kv().for_each([&](const mrmpi::KvPair& pair) {
+        const std::string v(reinterpret_cast<const char*>(pair.value.data()),
+                            pair.value.size());
+        tasks.insert(std::stoull(v));
+      });
+    }
+  });
+  *crashes = injector.stats().crashes_fired;
+  return tasks;
+}
+
+TEST(FaultEquivalence, MasterFtSurvivesPermanentRank0Crash) {
+  // Rank 0 owns the master-ft ledger and runs no tasks, so only its own
+  // crash poll can fire a time-triggered crash there. The successor
+  // adopts the shard; the output stays exactly the fault-free one.
+  for (const Backend backend : {Backend::Sim, Backend::Native}) {
+    std::uint64_t crashes = 0;
+    const auto clean = master_ft_map(backend, "", &crashes);
+    ASSERT_EQ(clean.size(), 24u) << backend_name(backend);
+    const auto faulted =
+        master_ft_map(backend, "crash:rank=0@t=0.02,mode=permanent", &crashes);
+    EXPECT_EQ(crashes, 1u) << backend_name(backend);
+    EXPECT_EQ(faulted, clean) << backend_name(backend);
+  }
 }
 
 TEST(FaultEquivalence, SomCodebookIdenticalAcrossBackendsUnderFaults) {

@@ -20,7 +20,7 @@ struct LocalityTrace {
 };
 
 LocalityTrace run_locality(int nprocs, std::uint64_t ntasks, std::uint64_t nkeys,
-                           double task_seconds = 0.01) {
+                           double task_seconds = 0.01, bool ft = false) {
   sim::EngineConfig ec;
   ec.nprocs = nprocs;
   ec.stack_bytes = 256 * 1024;
@@ -29,7 +29,9 @@ LocalityTrace run_locality(int nprocs, std::uint64_t ntasks, std::uint64_t nkeys
   std::mutex mu;
   engine.run([&](sim::Process& p) {
     mpi::Comm comm(p);
-    MapReduce mr(comm);
+    MapReduceConfig cfg;
+    cfg.ft.enabled = ft;
+    MapReduce mr(comm, cfg);
     mr.map_locality(
         ntasks, [&](std::uint64_t t) { return t % nkeys; },
         [&](std::uint64_t t, KeyValue&) {
@@ -90,6 +92,24 @@ TEST(MapLocality, KeepsLoadBalanced) {
   }
   // Elapsed close to ideal: 80 x 0.01 s over 4 workers = 0.2 s.
   EXPECT_LT(trace.elapsed, 0.25);
+}
+
+TEST(MapLocality, FtLedgerKeepsEachWorkerOnItsKey) {
+  // Known answer for the master-ft ledger's grant pick: 3 keys x 10
+  // equal-cost tasks over 3 workers. Each first request drains the
+  // largest bucket (keys 0, 1, 2 in turn), and every later grant keeps
+  // the worker on its key while that key has pending tasks, so each
+  // worker runs exactly one key's ten tasks and rank 0 runs none.
+  const auto trace = run_locality(4, 30, 3, 0.01, /*ft=*/true);
+  EXPECT_EQ(trace.tasks_run.size(), 30u);
+  EXPECT_EQ(trace.keys_by_rank.count(0), 0u);
+  std::set<std::uint64_t> keys_seen;
+  for (const auto& [rank, keys] : trace.keys_by_rank) {
+    ASSERT_EQ(keys.size(), 10u) << "rank " << rank;
+    for (const std::uint64_t k : keys) EXPECT_EQ(k, keys.front()) << "rank " << rank;
+    keys_seen.insert(keys.front());
+  }
+  EXPECT_EQ(keys_seen, (std::set<std::uint64_t>{0, 1, 2}));
 }
 
 TEST(MapLocality, NullAffinityRejected) {

@@ -39,8 +39,8 @@ Harness::Harness(std::string name, Options& opts) : name_(std::move(name)), opts
   opts.add("ft-retries", "3", "with --faults: retries per task before it is abandoned");
   opts.add("ledger-ranks", "0",
            "with --scheduler steal faults: ranks owning a commit-ledger "
-           "shard (0 = every rank owns its seeded range; 1 = single "
-           "coordinator)");
+           "shard (0 = every rank owns its seeded range); master pins "
+           "it to 1, one shard owned by rank 0");
   opts.add("heartbeat", "",
            "phi-accrual failure detection piggybacked on scheduler traffic, "
            "e.g. \"interval=0.5,phi=6,samples=4\" or \"on\" (empty = off)");
@@ -145,9 +145,9 @@ sched::FtConfig Harness::fault_tolerance(sched::Policy auto_policy) {
   if (!opts_.str("heartbeat").empty()) {
     ft.heartbeat = fault::HeartbeatConfig::parse(opts_.str("heartbeat"));
   }
-  // The sharded steal ledger elects a deterministic successor for a dead
-  // shard owner, so rank-0 crash plans are legal under it.
-  lc_.master_failover = policy == sched::Policy::Steal;
+  // The ledger elects a deterministic successor for a dead shard owner,
+  // so rank-0 crash plans are legal under every remote policy.
+  lc_.master_failover = true;
   return ft;
 }
 

@@ -5,8 +5,8 @@
 //   1. runs the similarity-graph driver fault-free to capture the
 //      baseline output bytes, edge checksum, elapsed time and task count,
 //   2. derives a deterministic randomized fault plan from the seed
-//      (crashes — including rank 0 under steal — job kills, shard
-//      corruption, slow ranks, message drop/dup/delay), scaled to the
+//      (crashes — including rank 0 — job kills, shard corruption, slow
+//      ranks, message drop/dup/delay), scaled to the
 //      measured baseline duration,
 //   3. replays the same workload under that plan, restarting with
 //      --resume while the driver reports a job kill (exit 3),
@@ -127,8 +127,10 @@ std::string workload_flags(const ChaosConfig& cfg) {
 // Derives a deterministic fault plan from the seed, scaled to the
 // fault-free elapsed time so triggers land mid-map regardless of the
 // workload shape. Fault classes respect the sweep leg's capabilities:
-// crashes need a remote scheduler, kills/corruption need a checkpoint
-// dir, rank-0 crashes need the steal scheduler's sharded ledger.
+// crashes need a remote scheduler (whose ledger elects a successor for a
+// dead rank 0), kills and corruption need a checkpoint dir, and message
+// faults need a remote scheduler's messages — a static leg draws a slow
+// rank instead, since its map sends none a fault could hit.
 std::string make_plan(const ChaosConfig& cfg, std::uint64_t seed, double elapsed) {
   Rng rng(mix64(seed ^ 0xc8a05f1ULL));
   std::ostringstream plan;
@@ -140,18 +142,14 @@ std::string make_plan(const ChaosConfig& cfg, std::uint64_t seed, double elapsed
   auto at = [&](double lo, double hi) {
     return elapsed * (lo + (hi - lo) * rng.uniform());
   };
-  const bool steal = cfg.scheduler == "steal";
-  const bool remote = steal || cfg.scheduler == "master" ||
+  const bool remote = cfg.scheduler == "steal" || cfg.scheduler == "master" ||
                       cfg.scheduler == "master-ft" || cfg.style == "master";
 
   const int nfaults = 1 + static_cast<int>(rng.uniform() * 2.0);  // 1..2
   for (int i = 0; i < nfaults; ++i) {
     const double pick = rng.uniform();
     if (cfg.allow_crash && remote && pick < 0.35) {
-      // Crash a worker; rank 0 only where the sharded ledger can elect a
-      // successor for its shard.
-      const int lo = steal ? 0 : 1;
-      const int rank = lo + static_cast<int>(rng.uniform() * (cfg.ranks - lo));
+      const int rank = static_cast<int>(rng.uniform() * cfg.ranks);
       std::ostringstream f;
       f << "crash:rank=" << rank << ",t=" << at(0.05, 0.6);
       if (rng.uniform() < 0.5) f << ",mode=permanent";
@@ -160,14 +158,14 @@ std::string make_plan(const ChaosConfig& cfg, std::uint64_t seed, double elapsed
       std::ostringstream f;
       f << "kill:t=" << at(0.2, 0.7);
       emit(f.str());
-    } else if (cfg.ckpt && steal && pick < 0.65) {
+    } else if (cfg.ckpt && remote && pick < 0.65) {
       emit("corrupt:target=shard,count=1");
-    } else if (pick < 0.8) {
+    } else if (pick < 0.8 || !remote) {
       const int rank = static_cast<int>(rng.uniform() * cfg.ranks);
       std::ostringstream f;
       f << "slow:rank=" << rank << ",factor=" << (2 + static_cast<int>(rng.uniform() * 14));
       emit(f.str());
-    } else if (remote && rng.uniform() < 0.5) {
+    } else if (rng.uniform() < 0.5) {
       emit("drop:src=-1,dst=-1,count=1");
     } else {
       emit("delay:src=-1,dst=-1,by=0.05,count=3");
